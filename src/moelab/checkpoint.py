@@ -21,7 +21,13 @@ import numpy as np
 from .model import ModelConfig
 from .tensor import Tensor
 
-__all__ = ["Checkpoint", "CheckpointFormatError", "save_checkpoint", "load_checkpoint"]
+__all__ = [
+    "Checkpoint",
+    "CheckpointFormatError",
+    "save_checkpoint",
+    "load_checkpoint",
+    "restore_params",
+]
 
 _MAGIC = b"MOELABCK"
 _VERSION = 1
@@ -112,3 +118,26 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointFormatError(f"unknown array namespace in {name!r}")
     config = ModelConfig(**header["config"])
     return Checkpoint(config=config, params=params, opt_arrays=opt_arrays, meta=header["meta"])
+
+
+def restore_params(
+    live: Mapping[str, Tensor], saved: Mapping[str, np.ndarray], source: str | Path
+) -> None:
+    """Copy saved arrays into a model's parameters in place.
+
+    Nothing is copied unless the names and every shape match the live model;
+    otherwise CheckpointFormatError names ``source`` and the first mismatch.
+    """
+    if set(live) != set(saved):
+        differing = sorted(set(live) ^ set(saved))
+        raise CheckpointFormatError(
+            f"{source}: parameter names do not match the architecture: {differing}"
+        )
+    for name in sorted(live):
+        if saved[name].shape != live[name].shape:
+            raise CheckpointFormatError(
+                f"{source}: array {name!r} has shape {saved[name].shape}, "
+                f"the architecture needs {live[name].shape}"
+            )
+    for name, arr in saved.items():
+        live[name].data = arr.copy()

@@ -26,7 +26,7 @@ import jsonschema
 import numpy as np
 
 from . import shardplan
-from .checkpoint import CheckpointFormatError, load_checkpoint
+from .checkpoint import CheckpointFormatError, load_checkpoint, restore_params
 from .configs import PRESETS
 from .contamination import build_ngram_index, report_table
 from .costs import co2_estimate, energy_estimate
@@ -508,11 +508,7 @@ def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
         snap_path = _path(section, "checkpoint", "eval checkpoint")
         snap = load_checkpoint(snap_path)
         model = build(snap.config, seed=0)
-        live = model.params()
-        if set(live) != set(snap.params):
-            raise DataError(f"{snap_path}: parameter names do not match the architecture")
-        for name, arr in snap.params.items():
-            live[name].data = arr.copy()
+        restore_params(model.params(), snap.params, snap_path)
     else:
         model = build(model_config_from(config), substream_seed(seed, "model"))
     scorer = SequenceScorer(model)

@@ -34,7 +34,6 @@ __all__ = [
     "hashed_features",
     "train_quality_classifier",
     "score",
-    "pareto_keep",
     "keep_mask",
     "filter_corpus",
     "mixture_sampler",
@@ -209,19 +208,8 @@ def train_quality_classifier(
 # ------------------------------------------------------------- Pareto filter
 
 
-def pareto_keep(score_value: float, alpha: float = 9.0, rng: np.random.Generator | None = None) -> bool:
-    """Keep iff a Lomax(alpha) draw reaches 1 - score: P(keep | s) = (2 - s)^-alpha."""
-    if not 0.0 <= score_value <= 1.0:
-        raise ConfigError(f"score {score_value} outside [0, 1]")
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
-    rng = rng or np.random.default_rng()
-    draw = (1.0 - rng.random()) ** (-1.0 / alpha) - 1.0
-    return draw >= 1.0 - score_value
-
-
 def keep_mask(scores: np.ndarray, alpha: float = 9.0, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Vectorized pareto_keep over an array of scores."""
+    """Keep iff a Lomax(alpha) draw reaches 1 - score: P(keep | s) = (2 - s)^-alpha."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size and (scores.min() < 0 or scores.max() > 1):
         raise ConfigError("scores must lie in [0, 1]")
@@ -239,14 +227,15 @@ def filter_corpus(
     seed: int = 0,
 ) -> tuple[list[Document], dict]:
     """Score and Pareto-filter a corpus; returns survivors plus a count report."""
-    rng = substream(seed, "pareto-filter")
+    docs = list(docs)
+    scores = [score(classifier, doc) for doc in docs]
+    mask = keep_mask(np.array(scores), alpha, substream(seed, "pareto-filter"))
     kept: list[Document] = []
     report = {"kept": {}, "dropped": {}, "alpha": alpha}
-    for doc in docs:
-        s = score(classifier, doc)
-        bucket = "kept" if pareto_keep(s, alpha, rng) else "dropped"
+    for doc, s, keep in zip(docs, scores, mask):
+        bucket = "kept" if keep else "dropped"
         report[bucket][doc.source] = report[bucket].get(doc.source, 0) + 1
-        if bucket == "kept":
+        if keep:
             kept.append(Document(doc.id, doc.source, doc.text, quality_score=s))
     return kept, report
 

@@ -4,6 +4,7 @@ Every token picks its two highest-probability experts under a learned linear
 gate.  Each expert accepts at most ``capacity`` assignments per batch; an
 assignment that finds its expert full is dropped without renormalizing the
 surviving slot.  A token that loses both slots passes through unchanged.
+``route`` is the only place that states this rule; ``moe_forward`` applies it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import numpy as np
 from .tensor import Tensor, gelu, matmul, softmax, take_along_last
 
 __all__ = [
-    "GateDecision",
     "DispatchStats",
     "ExpertFFN",
     "ConfigError",
     "expert_capacity",
-    "gate_top2",
+    "route",
     "moe_forward",
     "aux_load_balance_loss",
 ]
@@ -30,15 +30,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Raised for invalid routing configuration (e.g. capacity_factor < 1)."""
-
-
-@dataclass
-class GateDecision:
-    """Routing choice for one token: two expert slots plus combine weights."""
-
-    expert_indices: tuple[int, int]
-    combine_weights: tuple[float, float]
-    gate_probs: np.ndarray
 
 
 @dataclass
@@ -80,51 +71,35 @@ def expert_capacity(n_tokens: int, n_experts: int, capacity_factor: float = 1.25
     return math.ceil(capacity_factor * 2.0 * n_tokens / n_experts)
 
 
-def _top2_indices(probs: np.ndarray) -> np.ndarray:
-    """Indices of the two largest gate probabilities per row, ties to lower index."""
+def route(probs: Tensor, capacity: int) -> tuple[np.ndarray, Tensor, np.ndarray]:
+    """Top-2 routing of [T, E] gate probabilities under a per-expert capacity.
+
+    Returns ``idx`` [T, 2], each token's two most probable experts (ties to
+    the lower index); ``weights`` [T, 2], their probabilities renormalized to
+    sum to one; and ``keep`` [T, 2], the assignments that fit under
+    ``capacity``, consumed in (token, slot) order: earlier tokens first, and a
+    token's first slot ahead of its second.  A single-expert gate routes both
+    slots to expert 0 with weights (1, 0) and never keeps the second slot.
+    """
     n_experts = probs.shape[-1]
     if n_experts == 1:
-        return np.zeros(probs.shape[:-1] + (2,), dtype=np.intp)
-    order = np.argsort(-probs, axis=-1, kind="stable")
-    return order[..., :2].astype(np.intp)
+        idx = np.zeros((probs.shape[0], 2), dtype=np.intp)
+        weights = take_along_last(probs, idx) * np.array([[1.0, 0.0]])
+    else:
+        idx = np.argsort(-probs.data, axis=-1, kind="stable")[:, :2]
+        raw = take_along_last(probs, idx)
+        weights = raw / raw.sum(axis=-1, keepdims=True)
 
-
-def _capacity_keep(expert_idx: np.ndarray, capacity: int, n_experts: int) -> np.ndarray:
-    """Which (token, slot) assignments fit under per-expert capacity.
-
-    Capacity is consumed in (token, slot) order: earlier tokens first, and a
-    token's first slot ahead of its second.
-    """
-    flat = expert_idx.reshape(-1)
+    flat = idx.reshape(-1)
     order = np.argsort(flat, kind="stable")
     sorted_e = flat[order]
     starts = np.searchsorted(sorted_e, np.arange(n_experts), side="left")
-    pos = np.arange(flat.size) - starts[sorted_e]
     keep = np.empty(flat.size, dtype=bool)
-    keep[order] = pos < capacity
-    return keep.reshape(expert_idx.shape)
-
-
-def gate_top2(x: np.ndarray, gate_weights: np.ndarray) -> GateDecision:
-    """Route a single token activation through the gate.
-
-    Combine weights are the two selected probabilities renormalized to sum to
-    one; a single-expert gate routes both slots to expert 0 with weights (1, 0).
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    w = np.asarray(gate_weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != x.shape[0]:
-        raise ConfigError(f"gate weights shape {w.shape} does not match input dim {x.shape[0]}")
-    logits = x @ w
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    probs = e / e.sum()
-    idx = _top2_indices(probs[None, :])[0]
-    if w.shape[1] == 1:
-        return GateDecision((0, 0), (1.0, 0.0), probs)
-    p0, p1 = probs[idx[0]], probs[idx[1]]
-    total = p0 + p1
-    return GateDecision((int(idx[0]), int(idx[1])), (p0 / total, p1 / total), probs)
+    keep[order] = np.arange(flat.size) - starts[sorted_e] < capacity
+    keep = keep.reshape(idx.shape)
+    if n_experts == 1:
+        keep[:, 1] = False
+    return idx, weights, keep
 
 
 def moe_forward(
@@ -155,20 +130,8 @@ def moe_forward(
             f"gate weights shape {gate_weights.shape} does not match "
             f"(d_model={tokens.shape[1]}, n_experts={n_experts})"
         )
-    capacity = expert_capacity(n_tokens, n_experts, capacity_factor)
-
     probs = softmax(matmul(tokens, gate_weights), axis=-1)
-    idx = _top2_indices(probs.data)
-    raw = take_along_last(probs, idx)
-    if n_experts == 1:
-        # Degenerate gate: weight (1, 0), second slot contributes nothing.
-        weights = raw * np.array([[1.0, 0.0]])
-    else:
-        weights = raw / raw.sum(axis=-1, keepdims=True)
-
-    keep = _capacity_keep(idx, capacity, n_experts)
-    if n_experts == 1:
-        keep[:, 1] = False
+    idx, weights, keep = route(probs, expert_capacity(n_tokens, n_experts, capacity_factor))
 
     out: Tensor | None = None
     for e in range(n_experts):
@@ -186,11 +149,10 @@ def moe_forward(
     if out is None:
         out = tokens * 0.0
 
-    dropped = int(n_tokens - kept_any.sum()) if n_experts > 1 else 0
     stats = DispatchStats(
         tokens_per_expert=np.bincount(idx[:, 0], minlength=n_experts).astype(np.int64),
         mean_gate_prob=probs.mean(axis=0),
-        dropped_tokens=dropped,
+        dropped_tokens=int(n_tokens - kept_any.sum()),
         total_tokens=n_tokens,
     )
     return out, stats
@@ -203,5 +165,4 @@ def aux_load_balance_loss(stats: DispatchStats) -> Tensor:
     through the mean gate probabilities m_e.
     """
     n_experts = stats.tokens_per_expert.shape[0]
-    fractions = stats.tokens_per_expert.astype(np.float64) / stats.total_tokens
-    return (stats.mean_gate_prob * fractions).sum() * float(n_experts)
+    return (stats.mean_gate_prob * stats.load_fractions).sum() * float(n_experts)

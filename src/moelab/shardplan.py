@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .model import ModelConfig
-from .moe import ConfigError, _capacity_keep, _top2_indices, expert_capacity
+from .moe import ConfigError, ExpertFFN, moe_forward
+from .tensor import Tensor
 
 __all__ = [
     "Mesh",
@@ -197,10 +197,6 @@ def per_device_memory(plan_: ShardPlan, bytes_per_element: int = 8) -> dict[int,
 # ------------------------------------------------------------- simulation
 
 
-def _gelu_np(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
 def simulate_sharded(
     tokens: np.ndarray,
     gate_weights: np.ndarray,
@@ -210,12 +206,10 @@ def simulate_sharded(
 ) -> np.ndarray:
     """Run one MoE layer with H split across mesh rows, summing partials.
 
-    Routing decisions are shared with the reference layer; only the expert
-    matmuls are sharded, each column's experts computing on every row's H
-    slice and reducing.  Output should match the unsharded layer to ~1e-10.
+    Routing is ``moe_forward``'s own; only the expert matmuls are sharded,
+    each expert summing the outputs of its H slices over the mesh rows.
+    Output should match the unsharded layer to ~1e-10.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    n_tokens, M = tokens.shape
     E = len(expert_weights)
     H = expert_weights[0][0].shape[1]
     if E % mesh.x:
@@ -223,32 +217,11 @@ def simulate_sharded(
     if H % mesh.y:
         raise PlanningError(f"hidden H={H} not divisible by mesh Y={mesh.y}")
 
-    logits = tokens @ gate_weights
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
-    idx = _top2_indices(probs)
-    raw = np.take_along_axis(probs, idx, axis=-1)
-    if E == 1:
-        weights = raw * np.array([[1.0, 0.0]])
-    else:
-        weights = raw / raw.sum(axis=-1, keepdims=True)
-    keep = _capacity_keep(idx, expert_capacity(n_tokens, E, capacity_factor), E)
-    if E == 1:
-        keep[:, 1] = False
+    def row_sharded(w_in: np.ndarray, w_out: np.ndarray):
+        spans = [_split(H, mesh.y, iy) for iy in range(mesh.y)]
+        shards = [ExpertFFN(Tensor(w_in[:, lo:hi]), Tensor(w_out[lo:hi])) for lo, hi in spans]
+        return lambda x: sum((shard(x) for shard in shards[1:]), shards[0](x))
 
-    out = np.zeros_like(tokens)
-    for e in range(E):
-        w_in, w_out = expert_weights[e]
-        mask = ((idx == e) & keep).astype(np.float64)
-        per_token = (weights * mask).sum(axis=-1, keepdims=True)
-        if not per_token.any():
-            continue
-        partial = np.zeros_like(tokens)
-        for iy in range(mesh.y):
-            lo, hi = _split(H, mesh.y, iy)
-            partial += _gelu_np(tokens @ w_in[:, lo:hi]) @ w_out[lo:hi, :]
-        out += partial * per_token
-    kept_any = keep.any(axis=1)
-    out += tokens * (~kept_any).astype(np.float64)[:, None]
-    return out
+    experts = [row_sharded(w_in, w_out) for w_in, w_out in expert_weights]
+    out, _ = moe_forward(Tensor(tokens), experts, Tensor(gate_weights), capacity_factor)
+    return out.data

@@ -324,26 +324,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back_a(g: np.ndarray) -> np.ndarray:
         ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
-        return _reduce_batch(ga, a_data.shape)
+        return _unbroadcast(ga, a_data.shape)
 
     def back_b(g: np.ndarray) -> np.ndarray:
         gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
-        return _reduce_batch(gb, b_data.shape)
+        return _unbroadcast(gb, b_data.shape)
 
     _register(out, a, back_a)
     _register(out, b, back_b)
     return out
-
-
-def _reduce_batch(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse broadcast batch dims of a matmul gradient back to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i in range(len(shape) - 2) if shape[i] == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 # ---- gather / scatter ------------------------------------------------------

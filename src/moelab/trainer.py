@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .model import TransformerLM
 from .moe import ConfigError
 from .tensor import Tensor
@@ -248,9 +248,7 @@ class CheckpointManager:
         if self.last_path is None:
             raise ConfigError("no checkpoint available to roll back to")
         snap = load_checkpoint(self.last_path)
-        params = model.params()
-        for name, arr in snap.params.items():
-            params[name].data = arr.copy()
+        restore_params(model.params(), snap.params, self.last_path)
         restored = AdafactorState.from_arrays(snap.opt_arrays, clip_threshold=state.clip_threshold)
         state.step = restored.step
         state.accum = restored.accum

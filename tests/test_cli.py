@@ -6,11 +6,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+from moelab.checkpoint import save_checkpoint
 from moelab.cli import main
 from moelab.configs import preset
 from moelab.data import Document, save_documents
 from moelab.evalharness import write_stub_tasks
-from moelab.model import count_params, flops_per_token
+from moelab.model import ModelConfig, build, count_params, flops_per_token
 
 SOURCES6 = ["filtered_web", "wikipedia", "conversations", "forums", "books", "news"]
 
@@ -186,6 +187,22 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, workspace):
     tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
     args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={fake}"]
     assert main(args + ["--out", str(tmp_path)]) == 5
+
+
+@pytest.mark.parametrize("damage", ["misshapen", "missing"])
+def test_mismatched_checkpoint_array_is_data_error(tmp_path, workspace, capsys, damage):
+    config = ModelConfig(n_layers=2, d_model=16, d_ff=32, n_heads=2, d_head=8, seq_len=128)
+    params = {name: t.data for name, t in build(config, seed=0).params().items()}
+    if damage == "misshapen":
+        params["layer1.wq"] = params["layer1.wq"][:, :-1]
+    else:
+        del params["layer1.wq"]
+    ckpt = tmp_path / "misshapen.ckpt"
+    save_checkpoint(ckpt, config, params)
+    tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
+    args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
+    assert main(args + ["--out", str(tmp_path)]) == 5
+    assert "'layer1.wq'" in capsys.readouterr().err
 
 
 def test_no_subcommand_and_help_exit_codes(capsys):

@@ -26,7 +26,6 @@ from moelab.data import (
     load_documents,
     mixture_sampler,
     pack_examples,
-    pareto_keep,
     save_documents,
     score,
     tokenize,
@@ -214,7 +213,7 @@ def test_keep_rates_match_closed_form():
 def test_scalar_keep_agrees_with_vector_rate():
     rng = np.random.default_rng(2)
     n = 30_000
-    rate = sum(pareto_keep(0.5, 9.0, rng) for _ in range(n)) / n
+    rate = sum(bool(keep_mask(np.array([0.5]), 9.0, rng)[0]) for _ in range(n)) / n
     expected = 1.5**-9.0
     sigma = np.sqrt(expected * (1 - expected) / n)
     assert abs(rate - expected) < 4 * sigma
@@ -229,9 +228,9 @@ def test_keep_rate_is_monotone_in_score():
 
 def test_pareto_validation():
     with pytest.raises(ConfigError):
-        pareto_keep(1.2, 9.0, np.random.default_rng(0))
+        keep_mask(np.array([1.2]), 9.0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        pareto_keep(0.5, 0.0, np.random.default_rng(0))
+        keep_mask(np.array([0.5]), 0.0, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         keep_mask(np.array([0.5, -0.1]), 9.0, np.random.default_rng(0))
 

@@ -1,21 +1,23 @@
-"""Routing: gate decisions, capacity drops vs an exhaustive oracle, aux loss."""
+"""Routing: the route rule, capacity drops vs an exhaustive oracle, aux loss."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from moelab import moe
 from moelab.moe import (
     ConfigError,
     DispatchStats,
     ExpertFFN,
     aux_load_balance_loss,
     expert_capacity,
-    gate_top2,
     moe_forward,
+    route,
 )
-from moelab.tensor import Tensor, grad_check
+from moelab.tensor import Tensor, grad_check, matmul, softmax
 
 
 class IdentityExpert:
@@ -31,47 +33,56 @@ class ScaleExpert:
         return x * self.factor
 
 
+def _gate_probs(x, gate_weights):
+    """[1, E] gate probabilities of a single token activation."""
+    x = Tensor(np.asarray(x, dtype=np.float64).reshape(1, -1))
+    return softmax(matmul(x, Tensor(np.asarray(gate_weights, dtype=np.float64))), axis=-1)
+
+
 def _gate_for_logits(logits):
     """Weights so a 1-d input [1.0] produces exactly the given gate logits."""
     return np.array([logits], dtype=np.float64)
 
 
 def test_gate_top2_frozen_example():
-    decision = gate_top2(np.array([1.0]), _gate_for_logits([2.0, 1.0, 0.0, -1.0]))
-    assert decision.expert_indices == (0, 1)
+    idx, weights, keep = route(_gate_probs([1.0], _gate_for_logits([2.0, 1.0, 0.0, -1.0])), 2)
+    assert idx.tolist() == [[0, 1]]
+    assert keep.tolist() == [[True, True]]
     e = np.exp([2.0, 1.0, 0.0, -1.0])
     p = e / e.sum()
-    want = (p[0] / (p[0] + p[1]), p[1] / (p[0] + p[1]))
-    assert abs(decision.combine_weights[0] - want[0]) < 1e-12
-    assert abs(decision.combine_weights[0] - 0.7310585786300049) < 1e-12
-    assert abs(sum(decision.combine_weights) - 1.0) < 1e-12
+    w = weights.data[0]
+    assert abs(w[0] - p[0] / (p[0] + p[1])) < 1e-12
+    assert abs(w[0] - 0.7310585786300049) < 1e-12
+    assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_gate_top2_tie_breaks_to_lower_index():
-    decision = gate_top2(np.array([1.0]), _gate_for_logits([0.5, 0.5, 0.5]))
-    assert decision.expert_indices == (0, 1)
-    assert abs(decision.combine_weights[0] - 0.5) < 1e-12
-    assert abs(decision.combine_weights[1] - 0.5) < 1e-12
+    idx, weights, _ = route(_gate_probs([1.0], _gate_for_logits([0.5, 0.5, 0.5])), 2)
+    assert idx.tolist() == [[0, 1]]
+    assert abs(weights.data[0, 0] - 0.5) < 1e-12
+    assert abs(weights.data[0, 1] - 0.5) < 1e-12
 
 
 def test_gate_top2_single_expert():
-    decision = gate_top2(np.array([1.0, 2.0]), np.array([[0.3], [0.4]]))
-    assert decision.expert_indices == (0, 0)
-    assert decision.combine_weights == (1.0, 0.0)
-    assert decision.gate_probs.shape == (1,)
+    probs = _gate_probs([1.0, 2.0], np.array([[0.3], [0.4]]))
+    assert probs.shape == (1, 1)
+    idx, weights, keep = route(probs, 2)
+    assert idx.tolist() == [[0, 0]]
+    assert weights.data.tolist() == [[1.0, 0.0]]
+    assert keep.tolist() == [[True, False]]
 
 
 def test_gate_top2_ordering_and_distinctness():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        x = rng.normal(size=4)
-        w = rng.normal(size=(4, 6))
-        d = gate_top2(x, w)
-        i0, i1 = d.expert_indices
+        probs = _gate_probs(rng.normal(size=4), rng.normal(size=(4, 6)))
+        idx, weights, _ = route(probs, 2)
+        i0, i1 = idx[0]
+        w0, w1 = weights.data[0]
         assert i0 != i1
-        assert d.gate_probs[i0] >= d.gate_probs[i1]
-        assert d.combine_weights[0] >= d.combine_weights[1] >= 0.0
-        assert abs(sum(d.combine_weights) - 1.0) < 1e-12
+        assert probs.data[0, i0] >= probs.data[0, i1]
+        assert w0 >= w1 >= 0.0
+        assert abs(w0 + w1 - 1.0) < 1e-12
 
 
 def test_expert_capacity_values_and_errors():
@@ -164,11 +175,9 @@ def test_capacity_one_drops_all_but_first_per_expert():
     _, stats = moe_forward(Tensor(tokens), [IdentityExpert()] * 2, Tensor(gate_w), 1.0)
     assert stats.dropped_tokens == 0
 
-    # Forcing capacity 1 via the internal helper keeps one assignment per expert.
-    idx = moe._top2_indices(
-        np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4]])
-    )
-    keep = moe._capacity_keep(idx, capacity=1, n_experts=2)
+    # Forcing capacity 1 keeps one assignment per expert.
+    probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4]])
+    idx, _, keep = route(Tensor(probs), capacity=1)
     for e in range(2):
         assigned = (idx == e).sum()
         kept = keep[idx == e].sum()
@@ -191,10 +200,8 @@ def test_partial_drop_is_not_renormalized():
     want0 = w0 * 10.0 * tokens[0] + w1 * 100.0 * tokens[0]
     assert np.allclose(out.data[0], want0)
 
-    # now squeeze capacity to 1 by shrinking tokens-per-expert via more experts? no:
-    # emulate directly with the internal helpers instead.
-    idx = moe._top2_indices(np.tile(probs, (2, 1)))
-    keep = moe._capacity_keep(idx, capacity=1, n_experts=2)
+    # squeezing capacity to 1 leaves the second token with neither expert
+    _, _, keep = route(Tensor(np.tile(probs, (2, 1))), capacity=1)
     assert keep.tolist() == [[True, True], [False, False]]
 
 
@@ -213,10 +220,9 @@ def test_token_losing_both_slots_passes_through():
     want, loads, dropped = _oracle_dispatch(tokens, experts, gate_w, 1.0)
     assert np.max(np.abs(out.data - want)) < 1e-10
 
-    # identical tokens all queue on the same two experts; with the internal
-    # helper at capacity 2, tokens 2.. lose both slots
-    idx = moe._top2_indices(np.tile([0.9, 0.1], (n_tokens, 1)))
-    keep = moe._capacity_keep(idx, capacity=2, n_experts=2)
+    # identical tokens all queue on the same two experts; at capacity 2,
+    # tokens 2.. lose both slots
+    _, _, keep = route(Tensor(np.tile([0.9, 0.1], (n_tokens, 1))), capacity=2)
     assert (~keep.any(axis=1)).sum() == n_tokens - 2
 
 
@@ -337,9 +343,70 @@ def test_moe_forward_consistent_with_gate_top2():
     loads = np.zeros(5, dtype=int)
     prob_sum = np.zeros(5)
     for t in range(7):
-        d = gate_top2(tokens[t], gate_w)
-        loads[d.expert_indices[0]] += 1
-        prob_sum += d.gate_probs
+        logits = tokens[t] @ gate_w
+        e = np.exp(logits - logits.max())
+        probs = e / e.sum()
+        loads[np.argmax(probs)] += 1
+        prob_sum += probs
     assert stats.tokens_per_expert.tolist() == loads.tolist()
     assert np.max(np.abs(stats.mean_gate_prob.data - prob_sum / 7)) < 1e-12
     assert abs(stats.mean_gate_prob.data.sum() - 1.0) < 1e-9
+
+
+# ------------------------------------------------------- route properties
+
+
+@st.composite
+def _routing_case(draw):
+    """Gate probabilities [T, E] (E may be 1) and a capacity; logits tie often."""
+    n_tokens = draw(st.integers(1, 24))
+    n_experts = draw(st.integers(1, 6))
+    logit = st.one_of(st.integers(-3, 3).map(float), st.floats(-6.0, 6.0))
+    logits = draw(hnp.arrays(np.float64, (n_tokens, n_experts), elements=logit))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    capacity = draw(st.integers(1, 2 * n_tokens + 1))
+    return e / e.sum(axis=-1, keepdims=True), capacity
+
+
+@settings(deadline=None)
+@given(_routing_case())
+def test_route_never_exceeds_capacity(case):
+    probs, capacity = case
+    idx, _, keep = route(Tensor(probs), capacity)
+    for e in range(probs.shape[1]):
+        assert ((idx == e) & keep).sum() <= capacity
+
+
+@settings(deadline=None)
+@given(_routing_case())
+def test_route_kept_weights_are_a_sub_distribution(case):
+    probs, capacity = case
+    _, weights, keep = route(Tensor(probs), capacity)
+    kept = np.where(keep, weights.data, 0.0)
+    assert kept.min() >= 0.0 and kept.max() <= 1.0
+    assert np.all(kept.sum(axis=1) <= 1.0 + 1e-12)
+
+
+@settings(deadline=None)
+@given(_routing_case(), st.integers(1, 8))
+def test_route_drops_no_more_tokens_as_capacity_grows(case, extra):
+    probs, capacity = case
+    _, _, small = route(Tensor(probs), capacity)
+    _, _, large = route(Tensor(probs), capacity + extra)
+    assert (~large.any(axis=1)).sum() <= (~small.any(axis=1)).sum()
+
+
+@settings(deadline=None)
+@given(_routing_case(), st.data())
+def test_route_keep_depends_only_on_earlier_tokens(case, data):
+    probs, capacity = case
+    n_tokens, n_experts = probs.shape
+    cut = data.draw(st.integers(1, n_tokens))
+    suffix = data.draw(
+        hnp.arrays(np.float64, (n_tokens - cut, n_experts), elements=st.floats(0.01, 1.0))
+    )
+    changed = np.concatenate([probs[:cut], suffix / suffix.sum(axis=-1, keepdims=True)])
+    idx, _, keep = route(Tensor(probs), capacity)
+    idx_changed, _, keep_changed = route(Tensor(changed), capacity)
+    assert np.array_equal(idx[:cut], idx_changed[:cut])
+    assert np.array_equal(keep[:cut], keep_changed[:cut])
