@@ -69,20 +69,7 @@ class DataError(Exception):
 _KNOWN_KEYS: dict[str, set[str] | None] = {
     "seed": None,
     "out_dir": None,
-    "model": {
-        "preset",
-        "n_layers",
-        "d_model",
-        "d_ff",
-        "n_heads",
-        "d_head",
-        "n_experts",
-        "vocab_size",
-        "seq_len",
-        "batch_size",
-        "capacity_factor",
-        "rel_pos_buckets",
-    },
+    "model": {"preset", *(f.name for f in dataclasses.fields(ModelConfig))},
     "trainer": {
         "steps",
         "aux_coeff",
@@ -197,13 +184,19 @@ def _section(config: dict, name: str) -> dict:
 
 
 def _num(section: dict, key: str, default=None, cast=float):
+    """A numeric setting; booleans, and fractions where ``cast`` is int, are refused."""
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"config is missing {key!r}")
+    if isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be numeric, got {value!r}")
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be numeric, got {value!r}") from exc
+    if cast is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"config key {key!r} must be a whole number, got {value!r}")
+    return number
 
 
 def _existing(value, what: str) -> Path:
@@ -284,9 +277,6 @@ def cmd_params(config: dict, out_dir: Path, seed: int) -> int:
 
 def cmd_energy(config: dict, out_dir: Path, seed: int) -> int:
     section = _section(config, "energy")
-    for key in ("chips", "watts_per_chip", "hours"):
-        if key not in section:
-            raise ConfigError(f"energy config is missing {key!r}")
     inputs = {
         "chips": _num(section, "chips"),
         "watts_per_chip": _num(section, "watts_per_chip"),
@@ -342,9 +332,9 @@ def cmd_contamination(config: dict, out_dir: Path, seed: int) -> int:
         raise ConfigError("contamination config needs a non-empty datasets list")
     n = _num(section, "n", 8, int)
     bloom_bits = section.get("bloom_bits")
-    index = build_ngram_index(
-        corpus, n=n, bloom_bits=_num(section, "bloom_bits", cast=int) if bloom_bits else None
-    )
+    if bloom_bits is not None:
+        bloom_bits = _num(section, "bloom_bits", cast=int)
+    index = build_ngram_index(corpus, n=n, bloom_bits=bloom_bits)
     datasets = {}
     for raw in dataset_paths:
         task = _load_task_file(_existing(raw, "contamination dataset"))
@@ -540,34 +530,24 @@ def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK
 
 
+# subcommand name -> (handler, one-line help)
 _COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "data-filter": cmd_data_filter,
-    "data-mix": cmd_data_mix,
-    "contamination": cmd_contamination,
-    "shard-plan": cmd_shard_plan,
-    "params": cmd_params,
-    "energy": cmd_energy,
-}
-
-_HELP = {
-    "train": "train a model on a packed document corpus and checkpoint it",
-    "eval": "run few-shot evaluation tasks against a model or checkpoint",
-    "data-filter": "train a quality classifier and Pareto-filter a corpus",
-    "data-mix": "draw a seeded mixture over corpus sources",
-    "contamination": "audit eval tasks for n-gram overlap with a corpus",
-    "shard-plan": "plan expert and activation sharding over a 2D mesh",
-    "params": "count total and activated parameters for a model config",
-    "energy": "estimate training energy use and emissions",
+    "train": (cmd_train, "train a model on a packed document corpus and checkpoint it"),
+    "eval": (cmd_eval, "run few-shot evaluation tasks against a model or checkpoint"),
+    "data-filter": (cmd_data_filter, "train a quality classifier and Pareto-filter a corpus"),
+    "data-mix": (cmd_data_mix, "draw a seeded mixture over corpus sources"),
+    "contamination": (cmd_contamination, "audit eval tasks for n-gram overlap with a corpus"),
+    "shard-plan": (cmd_shard_plan, "plan expert and activation sharding over a 2D mesh"),
+    "params": (cmd_params, "count total and activated parameters for a model config"),
+    "energy": (cmd_energy, "estimate training energy use and emissions"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="moelab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON run config")
         p.add_argument(
             "--set",
@@ -594,10 +574,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             key, _, raw = pair.partition("=")
             apply_override(config, key.strip(), raw)
         validate_config(config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = args.seed if args.seed is not None else _num(config, "seed", 0, int)
         out_dir = Path(args.out or config.get("out_dir") or "runs")
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out_dir, seed)
+        handler, _ = _COMMANDS[args.command]
+        return handler(config, out_dir, seed)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

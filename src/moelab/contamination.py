@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_BLOOM_HASHES = 4
 
 
 def normalize_tokens(text: str) -> list[str]:
@@ -45,16 +46,15 @@ def ngrams(tokens: list[str], n: int) -> Iterator[str]:
 class BloomFilter:
     """Fixed-size membership filter: false positives possible, negatives not."""
 
-    def __init__(self, n_bits: int, n_hashes: int = 4):
+    def __init__(self, n_bits: int):
         if n_bits < 8:
             raise ConfigError(f"bloom filter needs >= 8 bits, got {n_bits}")
         self.n_bits = n_bits
-        self.n_hashes = n_hashes
         self.bits = np.zeros(n_bits, dtype=bool)
 
     def _positions(self, item: str) -> list[int]:
         out = []
-        for salt in range(self.n_hashes):
+        for salt in range(_BLOOM_HASHES):
             digest = hashlib.sha256(f"{salt}:{item}".encode()).digest()
             out.append(int.from_bytes(digest[:8], "little") % self.n_bits)
         return out
@@ -73,8 +73,8 @@ class NgramIndex:
         if n < 2:
             raise ConfigError(f"n must be >= 2, got {n}")
         self.n = n
-        self.exact: set[str] | None = None if bloom_bits else set()
-        self.bloom = BloomFilter(bloom_bits) if bloom_bits else None
+        self.exact: set[str] | None = set() if bloom_bits is None else None
+        self.bloom = None if bloom_bits is None else BloomFilter(bloom_bits)
 
     def add_document(self, text: str) -> None:
         store = self.exact if self.exact is not None else self.bloom

@@ -30,7 +30,6 @@ __all__ = [
     "Document",
     "MixtureSpec",
     "QualityClassifier",
-    "ByteTokenizer",
     "hashed_features",
     "train_quality_classifier",
     "score",
@@ -208,14 +207,13 @@ def train_quality_classifier(
 # ------------------------------------------------------------- Pareto filter
 
 
-def keep_mask(scores: np.ndarray, alpha: float = 9.0, rng: np.random.Generator | None = None) -> np.ndarray:
+def keep_mask(scores: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:
     """Keep iff a Lomax(alpha) draw reaches 1 - score: P(keep | s) = (2 - s)^-alpha."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size and (scores.min() < 0 or scores.max() > 1):
         raise ConfigError("scores must lie in [0, 1]")
     if alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    rng = rng or np.random.default_rng()
     draws = (1.0 - rng.random(scores.shape)) ** (-1.0 / alpha) - 1.0
     return draws >= 1.0 - scores
 
@@ -245,15 +243,13 @@ def filter_corpus(
 
 def mixture_sampler(
     sources: Mapping[str, Sequence[Document]],
-    spec: MixtureSpec | None = None,
-    rng: np.random.Generator | None = None,
+    spec: MixtureSpec,
+    rng: np.random.Generator,
 ) -> Iterator[Document]:
     """Yield documents whose source is drawn i.i.d. from the mixture weights.
 
     Exhausted sources cycle from their beginning, so the stream is infinite.
     """
-    spec = spec or MixtureSpec()
-    rng = rng or np.random.default_rng()
     names = [name for name, w in spec.weights.items() if w > 0]
     for name in names:
         if name not in sources or not sources[name]:
@@ -270,30 +266,14 @@ def mixture_sampler(
 # -------------------------------------------------------------- tokenization
 
 
-class ByteTokenizer:
-    """UTF-8 byte tokenizer: ids 0..255 are bytes, then PAD, BOS, EOS."""
-
-    vocab_size = VOCAB_SIZE
-    pad_id = PAD
-    bos_id = BOS
-    eos_id = EOS
-
-    def encode(self, text: str) -> list[int]:
-        return list(text.encode("utf-8"))
-
-    def decode(self, ids: Iterable[int]) -> str:
-        return bytes(i for i in ids if i < 256).decode("utf-8", errors="replace")
-
-
-_DEFAULT_TOKENIZER = ByteTokenizer()
-
-
 def tokenize(text: str) -> list[int]:
-    return _DEFAULT_TOKENIZER.encode(text)
+    """UTF-8 bytes as ids 0..255; PAD, BOS and EOS sit just past them."""
+    return list(text.encode("utf-8"))
 
 
 def detokenize(ids: Iterable[int]) -> str:
-    return _DEFAULT_TOKENIZER.decode(ids)
+    """Inverse of ``tokenize``; special ids are skipped."""
+    return bytes(i for i in ids if i < 256).decode("utf-8", errors="replace")
 
 
 # ------------------------------------------------------------------ packing
@@ -335,22 +315,16 @@ def pack_examples(
     return batches
 
 
-def batches_from_documents(
-    docs: Sequence[Document],
-    seq_len: int,
-    batch_size: int,
-    tokenizer: ByteTokenizer | None = None,
-):
+def batches_from_documents(docs: Sequence[Document], seq_len: int, batch_size: int):
     """Infinite seeded batch source over a fixed document set.
 
     Returns a callable suitable for the training loop: given a seed it yields
     packed batches forever, reshuffling document order each pass with a seed
     derived from the pass number.
     """
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
     if not docs:
         raise ConfigError("no documents to batch")
-    encoded = [tokenizer.encode(d.text) for d in docs]
+    encoded = [tokenize(d.text) for d in docs]
 
     def source(seed: int) -> Iterator[np.ndarray]:
         epoch = 0

@@ -22,11 +22,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import log_softmax
 
-from .data import EOS, detokenize, tokenize
+from .data import BOS, EOS, VOCAB_SIZE, detokenize, tokenize
 from .model import TransformerLM
 from .moe import ConfigError
+from .tensor import log_softmax
 from .util import read_jsonl, substream, substream_seed, write_jsonl
 
 __all__ = [
@@ -133,14 +133,18 @@ class Task:
 class SequenceScorer:
     """Token-level log-likelihoods from a trained model, BOS-conditioned."""
 
-    def __init__(self, model: TransformerLM, bos_id: int | None = None):
+    def __init__(self, model: TransformerLM):
+        if model.config.vocab_size < VOCAB_SIZE:
+            raise ConfigError(
+                f"scoring feeds byte ids and BOS={BOS}, so vocab_size must be >= {VOCAB_SIZE}, "
+                f"got {model.config.vocab_size}"
+            )
         self.model = model
-        self.bos_id = model.config.vocab_size - 2 if bos_id is None else bos_id
         self.max_len = model.config.seq_len
 
     def _rows(self, feed: Sequence[int]) -> np.ndarray:
         logits, _, _ = self.model.forward(np.array([feed], dtype=np.int64))
-        return log_softmax(logits.data[0], axis=-1)
+        return log_softmax(logits.data[0], axis=-1).data
 
     def token_logprobs(self, ids: Sequence[int]) -> np.ndarray:
         """log P(ids[t] | BOS, ids[:t]) for every position; one forward pass."""
@@ -149,12 +153,12 @@ class SequenceScorer:
             raise ConfigError("cannot score an empty sequence")
         if len(ids) > self.max_len:
             raise ConfigError(f"sequence length {len(ids)} exceeds model limit {self.max_len}")
-        rows = self._rows([self.bos_id] + ids[:-1])
+        rows = self._rows([BOS] + ids[:-1])
         return rows[np.arange(len(ids)), ids]
 
     def next_token_logprobs(self, ids: Sequence[int]) -> np.ndarray:
         """Distribution over the next token; long prefixes keep their tail."""
-        feed = [self.bos_id] + list(ids)
+        feed = [BOS] + list(ids)
         if len(feed) > self.max_len:
             feed = feed[-self.max_len :]
         return self._rows(feed)[-1]
@@ -246,7 +250,8 @@ def sample_topk(
     prompt_ids: Sequence[int],
     k: int = 40,
     temperature: float = 1.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     max_tokens: int = 16,
     eos_id: int = EOS,
 ) -> list[int]:
@@ -255,7 +260,6 @@ def sample_topk(
         raise ConfigError(f"k must be >= 1, got {k}")
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    rng = rng or np.random.default_rng()
     prompt_ids = list(prompt_ids)
     out: list[int] = []
     for _ in range(max_tokens):

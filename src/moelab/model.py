@@ -110,26 +110,24 @@ class Block:
         return self.gate is not None
 
 
-def relative_buckets(seq_len: int, n_buckets: int, max_distance: int = _MAX_REL_DISTANCE) -> np.ndarray:
+def relative_buckets(seq_len: int, n_buckets: int) -> np.ndarray:
     """Bucket ids for each (query, key) offset i - j on the causal side.
 
     Half the buckets hold exact small offsets; the rest are log-spaced out to
-    ``max_distance``.  Depends only on i - j, so every diagonal is constant.
+    ``_MAX_REL_DISTANCE``.  Depends only on i - j, so every diagonal is constant.
     """
     if n_buckets < 2:
         raise ConfigError(f"n_buckets must be >= 2, got {n_buckets}")
     pos = np.arange(seq_len)
     dist = np.clip(pos[:, None] - pos[None, :], 0, None)
     n_exact = max(n_buckets // 2, 1)
-    scale = (n_buckets - n_exact) / math.log(max(max_distance / n_exact, 2.0))
+    scale = (n_buckets - n_exact) / math.log(max(_MAX_REL_DISTANCE / n_exact, 2.0))
     logged = n_exact + np.floor(np.log(np.maximum(dist, 1) / n_exact) * scale).astype(np.int64)
     bucket = np.where(dist < n_exact, dist, np.minimum(logged, n_buckets - 1))
     return bucket.astype(np.intp)
 
 
-def attention_with_relative_bias(
-    q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor, max_distance: int = _MAX_REL_DISTANCE
-) -> Tensor:
+def attention_with_relative_bias(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor) -> Tensor:
     """Causal multi-head attention with an additive relative-position bias.
 
     ``q``, ``k``, ``v`` are [..., n_heads, S, d_head]; ``bias_table`` is
@@ -144,8 +142,8 @@ def attention_with_relative_bias(
         raise T.ShapeError(f"bias table {bias_table.shape} does not match n_heads={n_heads}")
 
     scores = T.matmul(q, k.swap_last2()) * (1.0 / math.sqrt(d_head))
-    buckets = relative_buckets(seq_len, bias_table.shape[1], max_distance)
-    rows = T.gather_rows(bias_table.transpose((1, 0)), buckets.reshape(-1))
+    buckets = relative_buckets(seq_len, bias_table.shape[1])
+    rows = T.embedding(bias_table.transpose((1, 0)), buckets.reshape(-1))
     bias = rows.transpose((1, 0)).reshape((n_heads, seq_len, seq_len))
     mask = np.where(np.tril(np.ones((seq_len, seq_len), dtype=bool)), 0.0, _MASK_FILL)
     weights = T.softmax(scores + bias + Tensor(mask), axis=-1)

@@ -13,7 +13,7 @@ through; detecting them is the caller's job (the trainer does exactly that).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -27,8 +27,6 @@ __all__ = [
     "matmul",
     "embedding",
     "take_along_last",
-    "gather_rows",
-    "scatter_rows",
     "cross_entropy",
     "grad_check",
 ]
@@ -89,9 +87,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -186,19 +181,6 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         return matmul(self, other)
-
-    def __getitem__(self, key) -> "Tensor":
-        """Basic (slice/int) indexing.  Gradient scatters back into place."""
-        out = _result(self.data[key], self)
-        shape = self.shape
-
-        def back(g: np.ndarray) -> np.ndarray:
-            gx = np.zeros(shape, dtype=np.float64)
-            gx[key] += g
-            return gx
-
-        _register(out, self, back)
-        return out
 
     # ---- structure -------------------------------------------------------
 
@@ -299,11 +281,11 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = _result(shifted - lse, x)
-    probs = np.exp(shifted - lse)
+    y = shifted - lse
+    out = _result(y, x)
 
     def back(g: np.ndarray) -> np.ndarray:
-        return g - probs * g.sum(axis=axis, keepdims=True)
+        return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
 
     _register(out, x, back)
     return out
@@ -355,22 +337,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         return gt
 
     _register(out, table, back)
-    return out
-
-
-def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Select rows along axis 0 by integer index."""
-    return embedding(x, np.asarray(rows, dtype=np.intp))
-
-
-def scatter_rows(values: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
-    """Place ``values`` at ``rows`` of a zero tensor, accumulating duplicates."""
-    values = _as_tensor(values)
-    rows = np.asarray(rows, dtype=np.intp)
-    data = np.zeros((n_rows,) + values.shape[1:], dtype=np.float64)
-    np.add.at(data, rows, values.data)
-    out = _result(data, values)
-    _register(out, values, lambda g: g[rows])
     return out
 
 

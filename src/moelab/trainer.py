@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _EPS_ACCUM = 1e-30  # keeps zero gradients from dividing zero by zero
+_CLIP_THRESHOLD = 1.0  # update RMS above this is scaled back down to it
+_HISTORY_WINDOW = 50  # trailing losses whose median judges divergence
 
 
 def beta2_hat(t: int) -> float:
@@ -71,7 +73,6 @@ class AdafactorState:
     rows) accumulators; vectors and scalars hold a full accumulator.
     """
 
-    clip_threshold: float = 1.0
     step: int = 0
     accum: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
@@ -83,8 +84,8 @@ class AdafactorState:
         return out
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], clip_threshold: float = 1.0):
-        state = cls(clip_threshold=clip_threshold)
+    def from_arrays(cls, arrays: dict[str, np.ndarray]):
+        state = cls()
         for key, arr in arrays.items():
             if key == "step":
                 state.step = int(arr[0])
@@ -128,7 +129,7 @@ def adafactor_step(
             vhat = new_full
         update = g / np.sqrt(vhat)
         rms = math.sqrt(float((update * update).mean()))
-        update /= max(1.0, rms / state.clip_threshold)
+        update /= max(1.0, rms / _CLIP_THRESHOLD)
         p.data = p.data - lr * update
     return params
 
@@ -205,7 +206,6 @@ class CheckpointManager:
         out_dir: str | Path,
         interval: int = 50,
         divergence_threshold: float = 3.0,
-        window: int = 50,
     ):
         if interval < 1:
             raise ConfigError(f"checkpoint interval must be >= 1, got {interval}")
@@ -215,8 +215,7 @@ class CheckpointManager:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.interval = interval
         self.divergence_threshold = divergence_threshold
-        self.window = window
-        self.history: deque[float] = deque(maxlen=window)
+        self.history: deque[float] = deque(maxlen=_HISTORY_WINDOW)
         self.last_path: Path | None = None
         self.rollbacks = 0
 
@@ -249,7 +248,7 @@ class CheckpointManager:
             raise ConfigError("no checkpoint available to roll back to")
         snap = load_checkpoint(self.last_path)
         restore_params(model.params(), snap.params, self.last_path)
-        restored = AdafactorState.from_arrays(snap.opt_arrays, clip_threshold=state.clip_threshold)
+        restored = AdafactorState.from_arrays(snap.opt_arrays)
         state.step = restored.step
         state.accum = restored.accum
         self.rollbacks += 1

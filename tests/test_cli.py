@@ -328,6 +328,22 @@ def test_contamination_detects_planted_overlap(tmp_path, workspace):
     assert len(lines) == 3
 
 
+def test_contamination_zero_bloom_bits_is_config_error(tmp_path, workspace, capsys):
+    # 0 asks for a Bloom filter with no bits; it must not fall back to the exact index
+    args = ["contamination", "--out", str(tmp_path)]
+    tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
+    for pair in (
+        f"contamination.corpus={workspace}/corpus.jsonl",
+        f"contamination.datasets={tasks}",
+        "contamination.n=3",
+        "contamination.bloom_bits=0",
+    ):
+        args += ["--set", pair]
+    assert main(args) == 3
+    assert "bloom" in capsys.readouterr().err
+    assert not (tmp_path / "contamination_report.json").exists()
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -460,6 +476,16 @@ def test_shard_plan_indivisible_mesh_is_config_error(tmp_path):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize("x,y", [("2.5", "1"), ("2", "true")])
+def test_shard_plan_fractional_or_boolean_mesh_is_config_error(tmp_path, capsys, x, y):
+    args = ["shard-plan", "--out", str(tmp_path)] + _model_args(n_experts=4, batch_size=4)
+    args += ["--set", f"mesh.x={x}", "--set", f"mesh.y={y}"]
+    assert main(args) == 3
+    bad = "'x'" if x == "2.5" else "'y'"
+    assert bad in capsys.readouterr().err
+    assert not (tmp_path / "shard_plan.json").exists()
+
+
 def test_shard_plan_rerun_is_idempotent(tmp_path):
     args = ["shard-plan", "--out", str(tmp_path)] + _model_args(n_experts=2, batch_size=4)
     args += ["--set", "mesh.x=2", "--set", "mesh.y=1"]
@@ -496,3 +522,10 @@ def test_seed_flag_overrides_config_seed(tmp_path, workspace):
     assert main(["train", "--config", str(cfg), "--out", str(c), "--seed", "6"]) == 0
     assert (a / "checkpoint_last.ckpt").read_bytes() == (b / "checkpoint_last.ckpt").read_bytes()
     assert (a / "checkpoint_last.ckpt").read_bytes() != (c / "checkpoint_last.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["2.5", "true"])
+def test_fractional_or_boolean_config_seed_is_config_error(tmp_path, capsys, seed):
+    args = ["params", "--set", "model.preset=0.1b", "--set", f"seed={seed}", "--out", str(tmp_path)]
+    assert main(args) == 3
+    assert "'seed'" in capsys.readouterr().err

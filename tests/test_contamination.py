@@ -164,3 +164,8 @@ def test_index_validation():
         NgramIndex(1)
     with pytest.raises(ConfigError):
         BloomFilter(4)
+
+
+def test_zero_bloom_bits_is_rejected_not_exact():
+    with pytest.raises(ConfigError):
+        build_ngram_index(["alpha beta gamma"], n=2, bloom_bits=0)

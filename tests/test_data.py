@@ -14,7 +14,6 @@ from moelab.data import (
     EOS,
     PAD,
     VOCAB_SIZE,
-    ByteTokenizer,
     Document,
     MixtureSpec,
     QualityClassifier,
@@ -58,7 +57,7 @@ def test_round_trip_on_multilingual_text():
 
 def test_decode_skips_special_ids():
     ids = [BOS] + tokenize("hi") + [EOS, PAD, PAD]
-    assert ByteTokenizer().decode(ids) == "hi"
+    assert detokenize(ids) == "hi"
 
 
 # -------------------------------------------------------------- documents

@@ -318,10 +318,11 @@ def test_full_vocab_topk_matches_the_model_distribution():
 
 def test_topk_validation():
     scorer = EnumScorer(_TRAP)
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        sample_topk(scorer, [], k=0)
+        sample_topk(scorer, [], k=0, rng=rng)
     with pytest.raises(ConfigError):
-        sample_topk(scorer, [], temperature=0.0)
+        sample_topk(scorer, [], temperature=0.0, rng=rng)
 
 
 # ----------------------------------------------------------------- metrics
@@ -461,3 +462,8 @@ def test_evaluate_generative_task_end_to_end():
     assert out["kind"] == "generative"
     assert out["metric"] == "accuracy_em"
     assert 0.0 <= out["score"] <= 100.0
+
+
+def test_scorer_needs_the_byte_vocabulary():
+    with pytest.raises(ConfigError):
+        SequenceScorer(scoring_model(vocab=200))

@@ -410,3 +410,21 @@ def test_route_keep_depends_only_on_earlier_tokens(case, data):
     idx_changed, _, keep_changed = route(Tensor(changed), capacity)
     assert np.array_equal(idx[:cut], idx_changed[:cut])
     assert np.array_equal(keep[:cut], keep_changed[:cut])
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 6),
+    st.floats(1.0, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_moe_forward_totals_agree_with_route(n_tokens, n_experts, capacity_factor, seed):
+    rng = np.random.default_rng(seed)
+    tokens = Tensor(rng.normal(size=(n_tokens, 3)))
+    gate = Tensor(rng.normal(scale=2.0, size=(3, n_experts)))
+    _, stats = moe_forward(tokens, [IdentityExpert()] * n_experts, gate, capacity_factor)
+    assert stats.tokens_per_expert.sum() == n_tokens
+    probs = softmax(matmul(tokens, gate), axis=-1)
+    _, _, keep = route(probs, expert_capacity(n_tokens, n_experts, capacity_factor))
+    assert stats.dropped_tokens == (~keep.any(axis=1)).sum()
