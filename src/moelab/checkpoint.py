@@ -19,6 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import ModelConfig
+from .moe import ConfigError
 from .tensor import Tensor
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
 
 _MAGIC = b"MOELABCK"
 _VERSION = 1
+_FIXED = struct.Struct("<IQ")  # format version, header length
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 
@@ -80,8 +82,7 @@ def save_checkpoint(
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(_FIXED.pack(_VERSION, len(blob)))
         fh.write(blob)
         for _, arr in arrays:
             fh.write(arr.tobytes())
@@ -92,11 +93,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise CheckpointFormatError(f"bad magic {magic!r}; not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        fixed = fh.read(_FIXED.size)
+        if len(fixed) != _FIXED.size:
+            raise CheckpointFormatError("truncated checkpoint header")
+        version, header_len = _FIXED.unpack(fixed)
         if version != _VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise CheckpointFormatError(f"checkpoint header is not JSON: {exc}") from exc
         params: dict[str, np.ndarray] = {}
         opt_arrays: dict[str, np.ndarray] = {}
         for entry in header["arrays"]:
@@ -116,7 +122,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 opt_arrays[name[len("opt/") :]] = arr
             else:
                 raise CheckpointFormatError(f"unknown array namespace in {name!r}")
-    config = ModelConfig(**header["config"])
+    try:
+        config = ModelConfig(**header["config"])
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointFormatError(f"checkpoint header holds no valid model config: {exc}") from exc
     return Checkpoint(config=config, params=params, opt_arrays=opt_arrays, meta=header["meta"])
 
 

@@ -199,6 +199,14 @@ def _num(section: dict, key: str, default=None, cast=float):
     return number
 
 
+def _path_list(section: dict, name: str, key: str) -> list:
+    """A file-list setting: a non-empty JSON list of paths, never a lone string."""
+    value = section.get(key)
+    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{name} config needs a non-empty {key} list of paths, got {value!r}")
+    return value
+
+
 def _existing(value, what: str) -> Path:
     p = Path(value)
     if not p.exists():
@@ -241,7 +249,6 @@ def _schema(name: str) -> dict:
 def write_report(out_dir: Path, name: str, payload: dict) -> Path:
     """Validate against the shipped schema, then write sorted stable JSON."""
     jsonschema.validate(payload, _schema(name))
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -256,8 +263,12 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 # -------------------------------------------------------------- subcommands
 
+# Every handler returns (report schema name, payload, summary lines); main
+# validates and writes the report, then prints the lines and its path.
+Report = tuple[str, dict, list[str]]
 
-def cmd_params(config: dict, out_dir: Path, seed: int) -> int:
+
+def cmd_params(config: dict, out_dir: Path, seed: int) -> Report:
     cfg = model_config_from(config)
     total, activated = count_params(cfg)
     payload = {
@@ -266,16 +277,14 @@ def cmd_params(config: dict, out_dir: Path, seed: int) -> int:
         "gflops_per_token": flops_per_token(cfg),
         "model": dataclasses.asdict(cfg),
     }
-    path = write_report(out_dir, "params_report", payload)
-    print(
+    line = (
         f"n_params={total} n_act_params={activated} "
         f"gflops_per_token={payload['gflops_per_token']:.3f}"
     )
-    print(f"wrote {path}")
-    return EXIT_OK
+    return "params_report", payload, [line]
 
 
-def cmd_energy(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_energy(config: dict, out_dir: Path, seed: int) -> Report:
     section = _section(config, "energy")
     inputs = {
         "chips": _num(section, "chips"),
@@ -292,16 +301,13 @@ def cmd_energy(config: dict, out_dir: Path, seed: int) -> int:
             raise ConfigError(f"baseline_mwh must be positive, got {baseline}")
         payload["baseline_mwh"] = baseline
         payload["ratio_to_baseline"] = mwh / baseline
-    path = write_report(out_dir, "energy_report", payload)
     line = f"energy={mwh:.2f} MWh co2={payload['tco2e']:.3f} tCO2e"
     if "ratio_to_baseline" in payload:
         line += f" ratio_to_baseline={payload['ratio_to_baseline']:.3f}"
-    print(line)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return "energy_report", payload, [line]
 
 
-def cmd_shard_plan(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_shard_plan(config: dict, out_dir: Path, seed: int) -> Report:
     cfg = model_config_from(config)
     mesh_cfg = config.get("mesh", {})
     mesh = shardplan.Mesh(_num(mesh_cfg, "x", 1, int), _num(mesh_cfg, "y", 1, int))
@@ -313,23 +319,19 @@ def cmd_shard_plan(config: dict, out_dir: Path, seed: int) -> int:
     payload["comm"] = shardplan.comm_volume(plan_, cfg)
     per_dev = shardplan.per_device_memory(plan_)
     payload["per_device_bytes"] = {str(dev): int(n) for dev, n in sorted(per_dev.items())}
-    path = write_report(out_dir, "shard_plan", payload)
     peak = max(payload["per_device_bytes"].values())
-    print(
+    line = (
         f"mesh {mesh.x}x{mesh.y}: {len(payload['tensors'])} tensors, "
         f"peak {peak} bytes/device, "
         f"dispatch {payload['comm']['dispatch_elements']:.0f} elements"
     )
-    print(f"wrote {path}")
-    return EXIT_OK
+    return "shard_plan", payload, [line]
 
 
-def cmd_contamination(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_contamination(config: dict, out_dir: Path, seed: int) -> Report:
     section = _section(config, "contamination")
     corpus = _load_docs(_path(section, "corpus", "contamination corpus"))
-    dataset_paths = section.get("datasets")
-    if not dataset_paths:
-        raise ConfigError("contamination config needs a non-empty datasets list")
+    dataset_paths = _path_list(section, "contamination", "datasets")
     n = _num(section, "n", 8, int)
     bloom_bits = section.get("bloom_bits")
     if bloom_bits is not None:
@@ -341,7 +343,6 @@ def cmd_contamination(config: dict, out_dir: Path, seed: int) -> int:
         datasets[task.name] = [_example_text(ex) for ex in task.examples]
     rows = report_table(datasets, index)
     csv_path = out_dir / "contamination_summary.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         csv_path,
         ("dataset", "total_count", "dirty_count", "percent_clean"),
@@ -353,11 +354,8 @@ def cmd_contamination(config: dict, out_dir: Path, seed: int) -> int:
         "rows": rows,
         "summary_csv": str(csv_path),
     }
-    path = write_report(out_dir, "contamination_report", payload)
-    for r in rows:
-        print(f"{r['dataset']}: {r['percent_clean']:.2f}% clean ({r['dirty_count']}/{r['total_count']} dirty)")
-    print(f"wrote {path}")
-    return EXIT_OK
+    line = "{dataset}: {percent_clean:.2f}% clean ({dirty_count}/{total_count} dirty)"
+    return "contamination_report", payload, [line.format(**r) for r in rows]
 
 
 def _example_text(example: dict) -> str:
@@ -367,7 +365,7 @@ def _example_text(example: dict) -> str:
     return " ".join(p for p in parts if p)
 
 
-def cmd_data_filter(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_data_filter(config: dict, out_dir: Path, seed: int) -> Report:
     section = _section(config, "data")
     corpus = _load_docs(_path(section, "corpus", "data corpus"))
     curated = _load_docs(_path(section, "curated", "curated corpus"))
@@ -379,7 +377,6 @@ def cmd_data_filter(config: dict, out_dir: Path, seed: int) -> int:
     data_seed = substream_seed(seed, "data")
     clf = train_quality_classifier(curated, web, hash_dim=hash_dim, epochs=epochs, lr=lr, seed=data_seed)
     kept, counts = filter_corpus(corpus, clf, alpha=alpha, seed=data_seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     output = out_dir / "filtered.jsonl"
     save_documents(kept, output)
     payload = {
@@ -397,13 +394,10 @@ def cmd_data_filter(config: dict, out_dir: Path, seed: int) -> int:
         },
         "output": str(output),
     }
-    path = write_report(out_dir, "filter_report", payload)
-    print(f"kept {len(kept)}/{len(corpus)} documents at alpha={alpha}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return "filter_report", payload, [f"kept {len(kept)}/{len(corpus)} documents at alpha={alpha}"]
 
 
-def cmd_data_mix(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_data_mix(config: dict, out_dir: Path, seed: int) -> Report:
     section = _section(config, "data")
     corpus = _load_docs(_path(section, "corpus", "data corpus"))
     count = _num(section, "mix_count", 1000, int)
@@ -416,7 +410,6 @@ def cmd_data_mix(config: dict, out_dir: Path, seed: int) -> int:
     rng = substream(substream_seed(seed, "data"), "mixture")
     stream = mixture_sampler(by_source, spec, rng)
     drawn = [next(stream) for _ in range(count)]
-    out_dir.mkdir(parents=True, exist_ok=True)
     output = out_dir / "mixed.jsonl"
     save_documents(drawn, output)
     counts: dict[str, int] = {}
@@ -429,14 +422,11 @@ def cmd_data_mix(config: dict, out_dir: Path, seed: int) -> int:
         "fractions": {k: v / count for k, v in counts.items()},
         "output": str(output),
     }
-    path = write_report(out_dir, "mix_report", payload)
     realized = " ".join(f"{k}={v / count:.3f}" for k, v in sorted(counts.items()))
-    print(f"drew {count} documents: {realized}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return "mix_report", payload, [f"drew {count} documents: {realized}"]
 
 
-def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_train(config: dict, out_dir: Path, seed: int) -> Report:
     cfg = model_config_from(config)
     section = _section(config, "trainer")
     steps = _num(section, "steps", 0, int)
@@ -480,20 +470,16 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> int:
         "log": str(out_dir / "train_log.jsonl"),
         "params_checksum": params_checksum(model.params()),
     }
-    path = write_report(out_dir, "train_report", payload)
-    print(
+    line = (
         f"trained {len(entries)} steps: final loss {payload['final_loss']:.4f}, "
         f"{payload['rollbacks']} rollbacks, {payload['skipped_steps']} skipped"
     )
-    print(f"wrote {path}")
-    return EXIT_OK
+    return "train_report", payload, [line]
 
 
-def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_eval(config: dict, out_dir: Path, seed: int) -> Report:
     section = _section(config, "eval")
-    task_paths = section.get("tasks")
-    if not task_paths:
-        raise ConfigError("eval config needs a non-empty tasks list")
+    task_paths = _path_list(section, "eval", "tasks")
     if section.get("checkpoint"):
         snap_path = _path(section, "checkpoint", "eval checkpoint")
         snap = load_checkpoint(snap_path)
@@ -512,7 +498,6 @@ def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
             task = dataclasses.replace(task, shots=_num(section, "shots", cast=int))
         results.append(evaluate_task(scorer, task, seed=eval_seed, max_tokens=max_tokens))
     agg = aggregate(results)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "eval_summary.csv"
     rows = [
         (r["task"], r["kind"], r["metric"], r["shots"], r["n_examples"], f"{r['score']:.2f}")
@@ -523,11 +508,8 @@ def cmd_eval(config: dict, out_dir: Path, seed: int) -> int:
             rows.append((name, "macro", "", "", "", f"{agg[name]:.2f}"))
     _write_csv(csv_path, ("task", "kind", "metric", "shots", "n_examples", "score"), rows)
     payload = {"results": results, "aggregate": agg, "summary_csv": str(csv_path)}
-    path = write_report(out_dir, "eval_report", payload)
-    for r in results:
-        print(f"{r['task']}: {r['score']:.2f} ({r['metric']}, {r['shots']}-shot)")
-    print(f"wrote {path}")
-    return EXIT_OK
+    lines = [f"{r['task']}: {r['score']:.2f} ({r['metric']}, {r['shots']}-shot)" for r in results]
+    return "eval_report", payload, lines
 
 
 # subcommand name -> (handler, one-line help)
@@ -578,7 +560,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = Path(args.out or config.get("out_dir") or "runs")
         out_dir.mkdir(parents=True, exist_ok=True)
         handler, _ = _COMMANDS[args.command]
-        return handler(config, out_dir, seed)
+        name, payload, lines = handler(config, out_dir, seed)
+        path = write_report(out_dir, name, payload)
+        for line in lines:
+            print(line)
+        print(f"wrote {path}")
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -65,6 +65,9 @@ class BloomFilter:
     def __contains__(self, item: str) -> bool:
         return bool(self.bits[self._positions(item)].all())
 
+    def __len__(self) -> int:
+        raise ConfigError("a Bloom filter has no exact size")
+
 
 class NgramIndex:
     """Membership index over normalized within-document n-grams."""
@@ -73,22 +76,18 @@ class NgramIndex:
         if n < 2:
             raise ConfigError(f"n must be >= 2, got {n}")
         self.n = n
-        self.exact: set[str] | None = set() if bloom_bits is None else None
-        self.bloom = None if bloom_bits is None else BloomFilter(bloom_bits)
+        self.store: set[str] | BloomFilter = set() if bloom_bits is None else BloomFilter(bloom_bits)
 
     def add_document(self, text: str) -> None:
-        store = self.exact if self.exact is not None else self.bloom
+        add = self.store.add
         for gram in ngrams(normalize_tokens(text), self.n):
-            store.add(gram)
+            add(gram)
 
     def __contains__(self, gram: str) -> bool:
-        store = self.exact if self.exact is not None else self.bloom
-        return gram in store
+        return gram in self.store
 
     def __len__(self) -> int:
-        if self.exact is None:
-            raise ConfigError("bloom-mode index has no exact size")
-        return len(self.exact)
+        return len(self.store)
 
 
 def build_ngram_index(corpus: Iterable, n: int = 8, bloom_bits: int | None = None) -> NgramIndex:

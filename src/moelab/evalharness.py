@@ -116,8 +116,8 @@ class Task:
             raise ConfigError(f"unknown normalization {self.normalization!r}")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.shots < 0:
-            raise ConfigError(f"shots must be >= 0, got {self.shots}")
+        if isinstance(self.shots, bool) or not isinstance(self.shots, int) or self.shots < 0:
+            raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
         for ex in list(self.examples) + list(self.train_examples):
             if self.kind == "multiple_choice":
                 options = ex.get("options", [])
@@ -438,7 +438,7 @@ def load_task(path: str | Path) -> Task:
         train_examples=train,
         normalization=header.get("normalization", "length_normalized"),
         metric=header.get("metric", "accuracy_em"),
-        shots=int(header.get("shots", 0)),
+        shots=header.get("shots", 0),
     )
 
 

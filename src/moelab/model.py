@@ -15,7 +15,7 @@ FLOPs/token as 2 * activated-params / 1e9 GFLOPs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,31 +59,27 @@ class ModelConfig:
     rel_pos_buckets: int = 32
 
     def __post_init__(self) -> None:
-        for name in (
-            "n_layers",
-            "d_model",
-            "d_ff",
-            "n_heads",
-            "d_head",
-            "n_experts",
-            "vocab_size",
-            "seq_len",
-            "batch_size",
-        ):
+        for name in (f.name for f in fields(self) if f.type == "int"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.n_experts > 1 and self.n_layers % 2 != 0:
             raise ConfigError(
                 f"n_layers must be even when n_experts > 1, got n_layers={self.n_layers}"
             )
-        if self.capacity_factor < 1.0:
-            raise ConfigError(f"capacity_factor must be >= 1, got {self.capacity_factor}")
+        factor = self.capacity_factor
+        if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not 1 <= factor < math.inf:
+            raise ConfigError(f"capacity_factor must be a finite number >= 1, got {factor!r}")
         if self.rel_pos_buckets < 2:
             raise ConfigError(f"rel_pos_buckets must be >= 2, got {self.rel_pos_buckets}")
 
     def is_moe_layer(self, layer_index: int) -> bool:
         return self.n_experts > 1 and layer_index % 2 == 1
+
+
+# Parameters every block holds, in ``params()`` order; the FFN fields follow.
+_SHARED_FIELDS = ("wq", "wk", "wv", "wo", "norm_attn", "norm_ffn", "bias_table")
+_DENSE_FIELDS = ("wa", "wb", "wout")
 
 
 @dataclass
@@ -175,17 +171,16 @@ class TransformerLM:
         out: dict[str, Tensor] = {"embed": self.embed}
         for i, blk in enumerate(self.blocks):
             p = f"layer{i}"
-            out[f"{p}.wq"], out[f"{p}.wk"] = blk.wq, blk.wk
-            out[f"{p}.wv"], out[f"{p}.wo"] = blk.wv, blk.wo
-            out[f"{p}.norm_attn"], out[f"{p}.norm_ffn"] = blk.norm_attn, blk.norm_ffn
-            out[f"{p}.bias_table"] = blk.bias_table
+            for name in _SHARED_FIELDS:
+                out[f"{p}.{name}"] = getattr(blk, name)
             if blk.is_moe:
                 out[f"{p}.gate"] = blk.gate
                 for e, expert in enumerate(blk.experts):
                     out[f"{p}.expert{e}.w_in"] = expert.w_in
                     out[f"{p}.expert{e}.w_out"] = expert.w_out
             else:
-                out[f"{p}.wa"], out[f"{p}.wb"], out[f"{p}.wout"] = blk.wa, blk.wb, blk.wout
+                for name in _DENSE_FIELDS:
+                    out[f"{p}.{name}"] = getattr(blk, name)
         out["norm_final"] = self.norm_final
         return out
 
@@ -335,21 +330,9 @@ def reduce_to_single_expert(model: TransformerLM) -> TransformerLM:
     computes the same function as the original, since the top-2 combine is a
     convex combination of equal outputs.
     """
-    blocks: list[Block] = []
-    for blk in model.blocks:
-        if blk.is_moe:
-            reduced = Block(
-                wq=blk.wq,
-                wk=blk.wk,
-                wv=blk.wv,
-                wo=blk.wo,
-                norm_attn=blk.norm_attn,
-                norm_ffn=blk.norm_ffn,
-                bias_table=blk.bias_table,
-                experts=[blk.experts[0]],
-                gate=Tensor(np.zeros((model.config.d_model, 1))),
-            )
-            blocks.append(reduced)
-        else:
-            blocks.append(blk)
+    d_model = model.config.d_model
+    blocks = [
+        replace(blk, experts=blk.experts[:1], gate=Tensor(np.zeros((d_model, 1)))) if blk.is_moe else blk
+        for blk in model.blocks
+    ]
     return TransformerLM(model.config, model.embed, blocks, model.norm_final)

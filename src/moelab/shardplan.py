@@ -13,8 +13,8 @@ reproduce the unsharded layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -83,14 +83,22 @@ class ShardPlan:
         }
 
 
-def _split(extent: int, parts: int, index: int) -> tuple[int, int]:
-    size = extent // parts
-    return (index * size, (index + 1) * size)
-
-
 def expert_home_column(n_experts: int, mesh_x: int, expert: int) -> int:
     """Mesh column owning this expert index, identical in every routed layer."""
     return expert // (n_experts // mesh_x)
+
+
+def _partition(shape: tuple[int, ...], col_axis: int, row_axis: int, mesh: Mesh) -> dict[int, Box]:
+    """Each device's box: ``col_axis`` split over mesh columns, ``row_axis`` over rows."""
+    boxes: dict[int, Box] = {}
+    for ix in range(mesh.x):
+        for iy in range(mesh.y):
+            box = [(0, extent) for extent in shape]
+            for axis, parts, index in ((col_axis, mesh.x, ix), (row_axis, mesh.y, iy)):
+                step = shape[axis] // parts
+                box[axis] = (index * step, (index + 1) * step)
+            boxes[mesh.device(ix, iy)] = tuple(box)
+    return boxes
 
 
 def plan(config: ModelConfig, mesh: Mesh) -> ShardPlan:
@@ -103,39 +111,16 @@ def plan(config: ModelConfig, mesh: Mesh) -> ShardPlan:
         raise PlanningError(f"hidden H={H} not divisible by mesh Y={mesh.y}")
     if M % mesh.y:
         raise PlanningError(f"model dim M={M} not divisible by mesh Y={mesh.y}")
-
-    shapes: dict[str, tuple[int, ...]] = {"expert_weights": (E, M, H)}
-    boxes: dict[str, dict[int, Box]] = {"expert_weights": {}}
     if B % mesh.x == 0:
-        shapes["activations"] = (B, S, M)
-        token_axis = ("batch", B)
+        activations = (B, S, M)
     elif (B * S) % mesh.x == 0:
         # batch alone does not divide; fall back to splitting the flat tokens
-        shapes["activations"] = (B * S, M)
-        token_axis = ("token", B * S)
+        activations = (B * S, M)
     else:
         raise PlanningError(f"tokens B*S={B * S} not divisible by mesh X={mesh.x}")
-    boxes["activations"] = {}
-
-    for ix in range(mesh.x):
-        for iy in range(mesh.y):
-            dev = mesh.device(ix, iy)
-            boxes["expert_weights"][dev] = (
-                _split(E, mesh.x, ix),
-                (0, M),
-                _split(H, mesh.y, iy),
-            )
-            if token_axis[0] == "batch":
-                boxes["activations"][dev] = (
-                    _split(B, mesh.x, ix),
-                    (0, S),
-                    _split(M, mesh.y, iy),
-                )
-            else:
-                boxes["activations"][dev] = (
-                    _split(B * S, mesh.x, ix),
-                    _split(M, mesh.y, iy),
-                )
+    shapes = {"expert_weights": (E, M, H), "activations": activations}
+    # experts or tokens split over mesh columns, H or M (the last axis) over rows
+    boxes = {name: _partition(shape, 0, len(shape) - 1, mesh) for name, shape in shapes.items()}
     return ShardPlan(mesh=mesh, shapes=shapes, boxes=boxes)
 
 
@@ -143,34 +128,30 @@ def _box_volume(box: Box) -> int:
     return math.prod(stop - start for start, stop in box)
 
 
-def _boxes_overlap(a: Box, b: Box) -> bool:
-    return all(sa < eb and sb < ea for (sa, ea), (sb, eb) in zip(a, b))
-
-
 def validate(plan_: ShardPlan) -> list[str]:
-    """Partition-property check; empty list means every tensor tiles exactly."""
+    """Partition-property check; empty list means every tensor tiles exactly.
+
+    Every box must lie inside its tensor, no two boxes may share an element,
+    and the boxes inside must add up to the tensor's size.  Together these
+    say that each element has exactly one owning device.
+    """
     violations: list[str] = []
     for name, shape in plan_.shapes.items():
-        device_boxes = plan_.boxes.get(name, {})
-        total = math.prod(shape)
-        if total <= 1_000_000:
-            counts = np.zeros(shape, dtype=np.int32)
-            for box in device_boxes.values():
-                counts[tuple(slice(s, e) for s, e in box)] += 1
-            if (counts > 1).any():
-                where = tuple(int(i) for i in np.argwhere(counts > 1)[0])
-                violations.append(f"{name}: overlap at index {where}")
-            if (counts == 0).any():
-                where = tuple(int(i) for i in np.argwhere(counts == 0)[0])
-                violations.append(f"{name}: gap at index {where}")
-        else:
-            boxes = list(device_boxes.values())
-            for i in range(len(boxes)):
-                for j in range(i + 1, len(boxes)):
-                    if _boxes_overlap(boxes[i], boxes[j]):
-                        violations.append(f"{name}: overlapping boxes {boxes[i]} and {boxes[j]}")
-            if sum(_box_volume(b) for b in boxes) != total:
-                violations.append(f"{name}: box volumes do not tile the {shape} index space")
+        inside: list[Box] = []
+        for box in plan_.boxes.get(name, {}).values():
+            if len(box) == len(shape) and all(0 <= s <= e <= n for (s, e), n in zip(box, shape)):
+                inside.append(box)
+            else:
+                violations.append(f"{name}: box {box} lies outside the {shape} index space")
+        spans = np.array(inside, dtype=np.int64).reshape(len(inside), len(shape), 2)
+        starts, stops = spans[..., 0], spans[..., 1]
+        for i in range(len(inside) - 1):
+            hits = np.all((starts[i] < stops[i + 1 :]) & (starts[i + 1 :] < stops[i]), axis=1)
+            for j in np.flatnonzero(hits):
+                violations.append(f"{name}: overlapping boxes {inside[i]} and {inside[i + 1 + j]}")
+        covered = sum(_box_volume(box) for box in inside)
+        if covered < math.prod(shape):
+            violations.append(f"{name}: gap: boxes cover {covered} of {math.prod(shape)} elements")
     return violations
 
 
@@ -211,17 +192,23 @@ def simulate_sharded(
     Output should match the unsharded layer to ~1e-10.
     """
     E = len(expert_weights)
-    H = expert_weights[0][0].shape[1]
+    M, H = expert_weights[0][0].shape
     if E % mesh.x:
         raise PlanningError(f"experts E={E} not divisible by mesh X={mesh.x}")
     if H % mesh.y:
         raise PlanningError(f"hidden H={H} not divisible by mesh Y={mesh.y}")
 
-    def row_sharded(w_in: np.ndarray, w_out: np.ndarray):
-        spans = [_split(H, mesh.y, iy) for iy in range(mesh.y)]
-        shards = [ExpertFFN(Tensor(w_in[:, lo:hi]), Tensor(w_out[lo:hi])) for lo, hi in spans]
-        return lambda x: sum((shard(x) for shard in shards[1:]), shards[0](x))
+    shards: list[list[ExpertFFN]] = [[] for _ in range(E)]
+    boxes = _partition((E, M, H), 0, 2, mesh)
+    for dev in sorted(boxes):  # ids ascend by row within a column: slices arrive in row order
+        (first, stop), _, (lo, hi) = boxes[dev]
+        for e in range(first, stop):
+            w_in, w_out = expert_weights[e]
+            shards[e].append(ExpertFFN(Tensor(w_in[:, lo:hi]), Tensor(w_out[lo:hi])))
 
-    experts = [row_sharded(w_in, w_out) for w_in, w_out in expert_weights]
+    def summed(parts: list[ExpertFFN]):
+        return lambda x: sum((shard(x) for shard in parts[1:]), parts[0](x))
+
+    experts = [summed(parts) for parts in shards]
     out, _ = moe_forward(Tensor(tokens), experts, Tensor(gate_weights), capacity_factor)
     return out.data

@@ -1,6 +1,7 @@
 """End-to-end command line tests: in-process main() with temp workspaces."""
 
 import json
+import struct
 
 import jsonschema
 import numpy as np
@@ -205,6 +206,28 @@ def test_mismatched_checkpoint_array_is_data_error(tmp_path, workspace, capsys, 
     assert "'layer1.wq'" in capsys.readouterr().err
 
 
+def _checkpoint_bytes(header: bytes) -> bytes:
+    return b"MOELABCK" + struct.pack("<IQ", 1, len(header)) + header
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"MOELABCK\x01\x00",  # shorter than the fixed header
+        _checkpoint_bytes(b"{not json"),
+        _checkpoint_bytes(json.dumps({"config": {"n_layerz": 2}, "meta": {}, "arrays": []}).encode()),
+    ],
+    ids=["short", "not-json", "bad-config"],
+)
+def test_corrupt_checkpoint_header_is_data_error(tmp_path, workspace, capsys, blob):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(blob)
+    tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
+    args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
+    assert main(args + ["--out", str(tmp_path)]) == 5
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 def test_no_subcommand_and_help_exit_codes(capsys):
     assert main([]) == 2
     assert main(["--help"]) == 0
@@ -217,6 +240,23 @@ def test_unknown_preset_is_config_error(tmp_path):
 
 def test_missing_model_section_is_config_error(tmp_path):
     assert main(["params", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["train", "--set", "model.n_experts=true"],
+        ["train", "--set", "model.rel_pos_buckets=2.5"],
+        ["train", "--set", "model.capacity_factor=true"],
+        ["params", "--set", "model.preset=0.1b", "--set", "model.n_experts=true"],
+    ],
+    ids=["train-experts-true", "train-buckets-fraction", "train-capacity-true", "params-experts-true"],
+)
+def test_boolean_or_fractional_model_setting_is_config_error(tmp_path, workspace, capsys, args):
+    if args[0] == "train":
+        args = _train_args(workspace, tmp_path, steps=1) + args[1:]
+    assert main(args + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 # -------------------------------------------------------------- data-filter
@@ -451,6 +491,27 @@ def test_eval_from_trained_checkpoint(tmp_path, workspace):
 
 def test_eval_needs_tasks(tmp_path):
     assert main(["eval", "--out", str(tmp_path)] + _model_args()) == 3
+
+
+@pytest.mark.parametrize("command, key", [("eval", "tasks"), ("contamination", "datasets")])
+def test_file_list_setting_must_be_a_list(tmp_path, workspace, capsys, command, key):
+    # a lone path string must not be walked character by character
+    args = [command, "--out", str(tmp_path), "--set", f"{command}.{key}={workspace}/tasks/copa.jsonl"]
+    args += ["--set", f"contamination.corpus={workspace}/corpus.jsonl"] + _model_args(seq_len=96)
+    assert main(args) == 3
+    assert f"{key} list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots", ['"two"', "true", "1.5"])
+def test_bad_task_file_shots_is_data_error(tmp_path, workspace, capsys, shots):
+    lines = (workspace / "tasks" / "copa.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["shots"] = json.loads(shots)
+    task = tmp_path / "copa.jsonl"
+    task.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    args = ["eval", "--out", str(tmp_path), "--set", f"eval.tasks={json.dumps([str(task)])}"]
+    assert main(args + _model_args(seq_len=96)) == 5
+    assert "shots" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- shard-plan

@@ -1,7 +1,8 @@
 """Source layout rules for ``src/moelab``, checked on the parsed modules.
 
-scipy stays inside ``tensor.py``; modules share only public names; and every
-generator is built from a seed, so no library function draws unseeded.
+scipy stays inside ``tensor.py``; modules share only public names; every
+generator is built from a seed, so no library function draws unseeded; and
+only ``cli.main`` prints to stdout, after it has written the report.
 """
 
 import ast
@@ -52,3 +53,21 @@ def test_every_generator_is_seeded(path):
             and node.func.attr == "default_rng"
         ):
             assert node.args or node.keywords, f"line {node.lineno}: default_rng() without a seed"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_main_prints_to_stdout(path):
+    tree = _tree(path)
+    allowed = set()
+    if path.name == "cli.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "main":
+                allowed = {id(n) for n in ast.walk(node)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+            and not any(kw.arg == "file" for kw in node.keywords)
+        ):
+            assert id(node) in allowed, f"line {node.lineno} prints to stdout"

@@ -42,6 +42,22 @@ def test_config_validation():
         tiny_cfg(capacity_factor=0.9)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_experts", True),
+        ("rel_pos_buckets", 2.5),
+        ("capacity_factor", True),
+        ("capacity_factor", "1.25"),
+        ("capacity_factor", float("nan")),
+        ("capacity_factor", float("inf")),
+    ],
+)
+def test_config_rejects_booleans_and_non_numbers(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_cfg(**{field: value})
+
+
 def test_build_is_deterministic():
     a = build(tiny_cfg(), seed=42)
     b = build(tiny_cfg(), seed=42)

@@ -121,6 +121,17 @@ def test_box_arithmetic_path_for_large_tensors():
     assert any("overlap" in v or "tile" in v for v in validate(broken))
 
 
+def test_out_of_range_box_is_caught_on_large_tensors():
+    cfg = config_for(E=8, M=128, H=2048, B=8, S=128)  # > 1e6 weight elements
+    broken = plan(cfg, Mesh(4, 2))
+    (start, stop), m_span, h_span = broken.boxes["expert_weights"][0]
+    # same volume, disjoint from every other box, but past the last expert
+    broken.boxes["expert_weights"][0] = ((start + 8, stop + 8), m_span, h_span)
+    problems = validate(broken)
+    assert any("outside" in v for v in problems)
+    assert any("gap" in v for v in problems)
+
+
 def test_memory_is_balanced_and_conserved():
     cfg = config_for(E=8, M=16, H=32, B=4, S=8)
     p = plan(cfg, Mesh(4, 2))
