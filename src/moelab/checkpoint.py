@@ -88,6 +88,25 @@ def save_checkpoint(
             fh.write(arr.tobytes())
 
 
+def _check_header(header) -> None:
+    """An object with ``config`` and ``meta`` objects and an ``arrays`` directory."""
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"checkpoint header must be an object, got {type(header).__name__}")
+    for key in ("config", "meta"):
+        if not isinstance(header.get(key), dict):
+            raise CheckpointFormatError(f"checkpoint header needs a {key!r} object")
+    arrays = header.get("arrays")
+    if not isinstance(arrays, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("dtype"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(n) is int and n >= 0 for n in entry["shape"])
+        for entry in arrays
+    ):
+        raise CheckpointFormatError("checkpoint header needs an 'arrays' list of {name, shape, dtype}")
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -103,6 +122,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise CheckpointFormatError(f"checkpoint header is not JSON: {exc}") from exc
+        _check_header(header)
         params: dict[str, np.ndarray] = {}
         opt_arrays: dict[str, np.ndarray] = {}
         for entry in header["arrays"]:

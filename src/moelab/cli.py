@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -184,7 +185,7 @@ def _section(config: dict, name: str) -> dict:
 
 
 def _num(section: dict, key: str, default=None, cast=float):
-    """A numeric setting; booleans, and fractions where ``cast`` is int, are refused."""
+    """A finite numeric setting; booleans, and fractions where ``cast`` is int, are refused."""
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"config is missing {key!r}")
@@ -194,6 +195,8 @@ def _num(section: dict, key: str, default=None, cast=float):
         number = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be numeric, got {value!r}") from exc
+    if cast is float and not math.isfinite(number):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     if cast is int and isinstance(value, float) and number != value:
         raise ConfigError(f"config key {key!r} must be a whole number, got {value!r}")
     return number

@@ -23,7 +23,6 @@ __all__ = [
     "BloomFilter",
     "NgramIndex",
     "build_ngram_index",
-    "classify_example",
     "is_dirty",
     "report",
     "report_table",
@@ -100,10 +99,6 @@ def build_ngram_index(corpus: Iterable, n: int = 8, bloom_bits: int | None = Non
 
 def is_dirty(example_text: str, index: NgramIndex) -> bool:
     return any(gram in index for gram in ngrams(normalize_tokens(example_text), index.n))
-
-
-def classify_example(example_text: str, index: NgramIndex) -> str:
-    return "dirty" if is_dirty(example_text, index) else "clean"
 
 
 def report(examples: Iterable[str], index: NgramIndex) -> dict:

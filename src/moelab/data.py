@@ -95,8 +95,8 @@ class MixtureSpec:
         for name, w in self.weights.items():
             if name not in SOURCES:
                 raise ConfigError(f"unknown source {name!r} in mixture")
-            if w < 0:
-                raise ConfigError(f"negative mixture weight {w} for {name!r}")
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
+                raise ConfigError(f"mixture weight for {name!r} must be finite and >= 0, got {w!r}")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"mixture weights sum to {total}, expected 1")

@@ -38,7 +38,6 @@ __all__ = [
     "score_option",
     "classify",
     "generate_beam",
-    "sample_topk",
     "normalize_answer",
     "generative_metrics",
     "evaluate_task",
@@ -119,15 +118,23 @@ class Task:
         if isinstance(self.shots, bool) or not isinstance(self.shots, int) or self.shots < 0:
             raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
         for ex in list(self.examples) + list(self.train_examples):
+            if not isinstance(ex.get("context"), str):
+                raise ConfigError(f"task {self.name}: every example needs a string context")
             if self.kind == "multiple_choice":
-                options = ex.get("options", [])
-                if len(options) < 2 or any(not o for o in options):
+                options = ex.get("options")
+                if not _str_list(options, min_len=2) or not all(options):
                     raise ConfigError(f"task {self.name}: choice examples need >= 2 non-empty options")
-                if not 0 <= ex.get("answer_index", -1) < len(options):
-                    raise ConfigError(f"task {self.name}: answer_index out of range")
-            else:
-                if not ex.get("references"):
-                    raise ConfigError(f"task {self.name}: generative examples need >= 1 reference")
+                answer = ex.get("answer_index")
+                if type(answer) is not int or not 0 <= answer < len(options):
+                    raise ConfigError(
+                        f"task {self.name}: answer_index must be an option's index, got {answer!r}"
+                    )
+            elif not _str_list(ex.get("references"), min_len=1):
+                raise ConfigError(f"task {self.name}: generative examples need >= 1 reference string")
+
+
+def _str_list(value, min_len: int) -> bool:
+    return isinstance(value, list) and len(value) >= min_len and all(isinstance(v, str) for v in value)
 
 
 class SequenceScorer:
@@ -243,36 +250,6 @@ def generate_beam(
             break
     best = beams[0][0]
     return list(best[:-1]) if best and best[-1] == eos_id else list(best)
-
-
-def sample_topk(
-    scorer,
-    prompt_ids: Sequence[int],
-    k: int = 40,
-    temperature: float = 1.0,
-    *,
-    rng: np.random.Generator,
-    max_tokens: int = 16,
-    eos_id: int = EOS,
-) -> list[int]:
-    """Sample from the renormalized top-k of the temperature-scaled distribution."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    prompt_ids = list(prompt_ids)
-    out: list[int] = []
-    for _ in range(max_tokens):
-        logprobs = scorer.next_token_logprobs(prompt_ids + out)
-        scaled = logprobs / temperature
-        top = np.argsort(-scaled, kind="stable")[:k]
-        probs = np.exp(scaled[top] - scaled[top].max())
-        probs /= probs.sum()
-        token = int(top[rng.choice(len(top), p=probs)])
-        if token == eos_id:
-            break
-        out.append(token)
-    return out
 
 
 # ------------------------------------------------------------------ metrics
@@ -423,6 +400,8 @@ def save_task(task: Task, path: str | Path) -> None:
 
 def load_task(path: str | Path) -> Task:
     rows = list(read_jsonl(path))
+    if not all(isinstance(row, dict) for row in rows):
+        raise ConfigError(f"{path}: every record must be a JSON object")
     if not rows or rows[0].get("record") != "header":
         raise ConfigError(f"{path}: first record must be a task header")
     header = rows[0]

@@ -228,10 +228,7 @@ class TransformerLM:
         x = rmsnorm(x, self.norm_final)
         logits = T.matmul(x, self.embed.transpose((1, 0)))
         if aux_terms:
-            aux = aux_terms[0]
-            for term in aux_terms[1:]:
-                aux = aux + term
-            aux = aux * (1.0 / len(aux_terms))
+            aux = sum(aux_terms[1:], aux_terms[0]) * (1.0 / len(aux_terms))
         else:
             aux = Tensor(0.0)
         return logits, aux, stats_list

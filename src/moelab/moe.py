@@ -133,21 +133,17 @@ def moe_forward(
     probs = softmax(matmul(tokens, gate_weights), axis=-1)
     idx, weights, keep = route(probs, expert_capacity(n_tokens, n_experts, capacity_factor))
 
-    out: Tensor | None = None
+    terms: list[Tensor] = []
     for e in range(n_experts):
         mask = ((idx == e) & keep).astype(np.float64)
-        if not mask.any():
-            continue
-        per_token = (weights * mask).sum(axis=-1, keepdims=True)
-        piece = experts[e](tokens) * per_token
-        out = piece if out is None else out + piece
-
+        if mask.any():
+            per_token = (weights * mask).sum(axis=-1, keepdims=True)
+            terms.append(experts[e](tokens) * per_token)
     kept_any = keep.any(axis=1)
     if not kept_any.all():
-        identity = tokens * (~kept_any).astype(np.float64)[:, None]
-        out = identity if out is None else out + identity
-    if out is None:
-        out = tokens * 0.0
+        terms.append(tokens * (~kept_any).astype(np.float64)[:, None])
+    # Never empty: capacity is at least 1, so the first (token, slot) is kept.
+    out = sum(terms[1:], terms[0])
 
     stats = DispatchStats(
         tokens_per_expert=np.bincount(idx[:, 0], minlength=n_experts).astype(np.int64),

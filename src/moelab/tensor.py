@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Small on purpose: only the operations a decoder-only mixture-of-experts
-language model needs.  Every operation records closures on a dynamic tape;
+language model needs.  Every operation is one call to ``_op``, which records
+a gradient closure per operand that requires grad on a dynamic tape;
 ``Tensor.backward`` replays the tape in reverse topological order and
 accumulates gradients additively, so parameters shared between several
 subexpressions (e.g. a tied embedding) receive the sum of all contributions.
@@ -127,57 +128,57 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = _as_tensor(other)
-        out = _result(np.add(self.data, other.data), self, other)
-        _register(out, self, lambda g: _unbroadcast(g, self.shape))
-        _register(out, other, lambda g: _unbroadcast(g, other.shape))
-        return out
+        return _op(
+            np.add(self.data, other.data),
+            (self, lambda g: _unbroadcast(g, self.shape)),
+            (other, lambda g: _unbroadcast(g, other.shape)),
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         other = _as_tensor(other)
-        out = _result(np.subtract(self.data, other.data), self, other)
-        _register(out, self, lambda g: _unbroadcast(g, self.shape))
-        _register(out, other, lambda g: _unbroadcast(-g, other.shape))
-        return out
+        return _op(
+            np.subtract(self.data, other.data),
+            (self, lambda g: _unbroadcast(g, self.shape)),
+            (other, lambda g: _unbroadcast(-g, other.shape)),
+        )
 
     def __rsub__(self, other) -> "Tensor":
         return _as_tensor(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
-        out = _result(np.multiply(self.data, other.data), self, other)
         a_data, b_data = self.data, other.data
-        _register(out, self, lambda g: _unbroadcast(g * b_data, self.shape))
-        _register(out, other, lambda g: _unbroadcast(g * a_data, other.shape))
-        return out
+        return _op(
+            np.multiply(a_data, b_data),
+            (self, lambda g: _unbroadcast(g * b_data, self.shape)),
+            (other, lambda g: _unbroadcast(g * a_data, other.shape)),
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = _as_tensor(other)
-        out = _result(np.divide(self.data, other.data), self, other)
         a_data, b_data = self.data, other.data
-        _register(out, self, lambda g: _unbroadcast(g / b_data, self.shape))
-        _register(out, other, lambda g: _unbroadcast(-g * a_data / (b_data * b_data), other.shape))
-        return out
+        return _op(
+            np.divide(a_data, b_data),
+            (self, lambda g: _unbroadcast(g / b_data, self.shape)),
+            (other, lambda g: _unbroadcast(-g * a_data / (b_data * b_data), other.shape)),
+        )
 
     def __rtruediv__(self, other) -> "Tensor":
         return _as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        out = _result(-self.data, self)
-        _register(out, self, lambda g: -g)
-        return out
+        return _op(-self.data, (self, lambda g: -g))
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         p = float(exponent)
-        out = _result(self.data**p, self)
         x = self.data
-        _register(out, self, lambda g: g * p * x ** (p - 1.0))
-        return out
+        return _op(x**p, (self, lambda g: g * p * x ** (p - 1.0)))
 
     def __matmul__(self, other) -> "Tensor":
         return matmul(self, other)
@@ -185,18 +186,13 @@ class Tensor:
     # ---- structure -------------------------------------------------------
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
-        shape = tuple(shape)
-        out = _result(self.data.reshape(shape), self)
         orig = self.shape
-        _register(out, self, lambda g: g.reshape(orig))
-        return out
+        return _op(self.data.reshape(tuple(shape)), (self, lambda g: g.reshape(orig)))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
-        out = _result(self.data.transpose(axes), self)
         inverse = tuple(np.argsort(axes))
-        _register(out, self, lambda g: g.transpose(inverse))
-        return out
+        return _op(self.data.transpose(axes), (self, lambda g: g.transpose(inverse)))
 
     def swap_last2(self) -> "Tensor":
         if self.ndim < 2:
@@ -207,17 +203,13 @@ class Tensor:
     # ---- reductions ------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _result(self.data.sum(axis=axis, keepdims=keepdims), self)
         shape = self.shape
+        reduced = tuple(range(self.ndim)) if axis is None else axis
 
         def back(g: np.ndarray) -> np.ndarray:
-            if axis is None:
-                return np.broadcast_to(g, shape).copy() if g.ndim else np.full(shape, g)
-            gk = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gk, shape).copy()
+            return np.broadcast_to(g if keepdims else np.expand_dims(g, reduced), shape).copy()
 
-        _register(out, self, back)
-        return out
+        return _op(self.data.sum(axis=axis, keepdims=keepdims), (self, back))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -231,16 +223,15 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _result(data: np.ndarray, *parents: Tensor) -> Tensor:
+def _op(data: np.ndarray, *edges: tuple[Tensor, GradFn]) -> Tensor:
+    """The tape node for ``data``: one (parent, grad_fn) edge per operand.
+
+    Constants stay off the tape so graphs only retain what backward needs.
+    """
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out._parents = [(parent, fn) for parent, fn in edges if parent.requires_grad]
+    out.requires_grad = bool(out._parents)
     return out
-
-
-def _register(out: Tensor, parent: Tensor, fn: GradFn) -> None:
-    # Constants stay off the tape so graphs only retain what backward needs.
-    if parent.requires_grad:
-        out._parents.append((parent, fn))
 
 
 # ---- nonlinearity and normalizing ops -------------------------------------
@@ -249,16 +240,14 @@ def _register(out: Tensor, parent: Tensor, fn: GradFn) -> None:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error GELU: x * Phi(x), with Phi the standard normal CDF."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = _result(x.data * cdf, x)
     xd = x.data
+    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
 
     def back(g: np.ndarray) -> np.ndarray:
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
         return g * (cdf + xd * pdf)
 
-    _register(out, x, back)
-    return out
+    return _op(xd * cdf, (x, back))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -267,14 +256,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _result(y, x)
 
     def back(g: np.ndarray) -> np.ndarray:
         inner = (g * y).sum(axis=axis, keepdims=True)
         return y * (g - inner)
 
-    _register(out, x, back)
-    return out
+    return _op(y, (x, back))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -282,13 +269,11 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
-    out = _result(y, x)
 
     def back(g: np.ndarray) -> np.ndarray:
         return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
 
-    _register(out, x, back)
-    return out
+    return _op(y, (x, back))
 
 
 # ---- linear algebra --------------------------------------------------------
@@ -301,7 +286,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = _result(np.matmul(a.data, b.data), a, b)
     a_data, b_data = a.data, b.data
 
     def back_a(g: np.ndarray) -> np.ndarray:
@@ -312,9 +296,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
         return _unbroadcast(gb, b_data.shape)
 
-    _register(out, a, back_a)
-    _register(out, b, back_b)
-    return out
+    return _op(np.matmul(a_data, b_data), (a, back_a), (b, back_b))
 
 
 # ---- gather / scatter ------------------------------------------------------
@@ -328,7 +310,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise IndexError(
             f"ids out of range [0, {table.shape[0]}): min={ids.min()}, max={ids.max()}"
         )
-    out = _result(table.data[ids], table)
     shape = table.shape
 
     def back(g: np.ndarray) -> np.ndarray:
@@ -336,8 +317,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(gt, ids, g)
         return gt
 
-    _register(out, table, back)
-    return out
+    return _op(table.data[ids], (table, back))
 
 
 def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -346,7 +326,6 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.shape[:-1] != x.shape[:-1]:
         raise ShapeError(f"index shape {idx.shape} does not match {x.shape}")
-    out = _result(np.take_along_axis(x.data, idx, axis=-1), x)
     shape = x.shape
 
     def back(g: np.ndarray) -> np.ndarray:
@@ -355,8 +334,7 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
         np.add.at(gx, tuple(grids[:-1]) + (idx,), g)
         return gx
 
-    _register(out, x, back)
-    return out
+    return _op(np.take_along_axis(x.data, idx, axis=-1), (x, back))
 
 
 # ---- losses ----------------------------------------------------------------

@@ -46,11 +46,16 @@ def markov_transitions(rng, vocab, branching=4, concentrate=0.85):
 
 
 def sample_markov(rng, trans, length, start=None):
+    """One walk of ``length`` steps.  Each step inverts its row's cdf with one
+    uniform draw, as ``rng.choice(vocab, p=row)`` does, so walks and the
+    generator state afterwards match that call exactly, without its checks."""
     vocab = trans.shape[0]
+    cdf = trans.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     ids = np.empty(length, dtype=np.int64)
     state = int(rng.integers(0, vocab)) if start is None else start
     for i in range(length):
-        state = int(rng.choice(vocab, p=trans[state]))
+        state = int(cdf[state].searchsorted(rng.random(), side="right"))
         ids[i] = state
     return ids
 

@@ -1,5 +1,6 @@
 """End-to-end command line tests: in-process main() with temp workspaces."""
 
+import dataclasses
 import json
 import struct
 
@@ -139,6 +140,20 @@ def test_energy_missing_input_is_config_error(tmp_path):
     assert main(["energy", "--set", "energy.chips=8", "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "pair",
+    ["energy.hours=NaN", "energy.hours=Infinity", "energy.watts_per_chip=Infinity", "energy.baseline_mwh=NaN"],
+)
+def test_non_finite_number_setting_is_config_error(tmp_path, capsys, pair):
+    # a NaN would reach the report as the bare token NaN, which is not JSON
+    args = ["energy", "--out", str(tmp_path)]
+    for setting in ("energy.chips=8", "energy.watts_per_chip=300", "energy.hours=1", pair):
+        args += ["--set", setting]
+    assert main(args) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "energy_report.json").exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -222,6 +237,41 @@ def _checkpoint_bytes(header: bytes) -> bytes:
 def test_corrupt_checkpoint_header_is_data_error(tmp_path, workspace, capsys, blob):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(blob)
+    tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
+    args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
+    assert main(args + ["--out", str(tmp_path)]) == 5
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+_GOOD_CONFIG = dataclasses.asdict(
+    ModelConfig(n_layers=2, d_model=16, d_ff=32, n_heads=2, d_head=8, seq_len=128)
+)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        [],
+        {"config": _GOOD_CONFIG, "meta": {}},
+        {"config": _GOOD_CONFIG, "meta": {}, "arrays": 3},
+        {"config": _GOOD_CONFIG, "meta": {}, "arrays": [{"name": "param/embed", "dtype": "<f8"}]},
+        {"config": _GOOD_CONFIG, "meta": {}, "arrays": [["param/embed", [2], "<f8"]]},
+        {"config": _GOOD_CONFIG, "arrays": []},
+        {"meta": {}, "arrays": []},
+    ],
+    ids=[
+        "not-object",
+        "no-arrays",
+        "arrays-not-list",
+        "entry-without-shape",
+        "entry-not-object",
+        "no-meta",
+        "no-config",
+    ],
+)
+def test_checkpoint_header_structure_is_data_error(tmp_path, workspace, capsys, header):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(_checkpoint_bytes(json.dumps(header).encode()))
     tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
     args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
     assert main(args + ["--out", str(tmp_path)]) == 5
@@ -335,6 +385,24 @@ def test_data_mix_bad_weights_is_config_error(tmp_path, workspace):
         str(tmp_path),
     ]
     assert main(args) == 3  # weights must sum to 1
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ["data.mixture.books=x"],
+        ["data.mixture.books=true"],
+        ["data.mixture.books=NaN", "data.mixture.news=0.5"],
+    ],
+    ids=["string", "boolean", "nan"],
+)
+def test_data_mix_non_numeric_weight_is_config_error(tmp_path, workspace, capsys, pairs):
+    args = ["data-mix", "--set", f"data.corpus={workspace}/corpus.jsonl", "--out", str(tmp_path)]
+    for pair in pairs:
+        args += ["--set", pair]
+    assert main(args) == 3
+    assert "mixture weight for 'books'" in capsys.readouterr().err
+    assert not (tmp_path / "mixed.jsonl").exists()
 
 
 # ------------------------------------------------------------- contamination
@@ -512,6 +580,45 @@ def test_bad_task_file_shots_is_data_error(tmp_path, workspace, capsys, shots):
     args = ["eval", "--out", str(tmp_path), "--set", f"eval.tasks={json.dumps([str(task)])}"]
     assert main(args + _model_args(seq_len=96)) == 5
     assert "shots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("answer_index", "0"),
+        ("answer_index", True),
+        ("options", "xy"),
+        ("options", [1, 2]),
+        ("context", None),
+    ],
+    ids=["answer-string", "answer-boolean", "options-string", "options-numbers", "no-context"],
+)
+def test_bad_task_example_is_data_error(tmp_path, workspace, capsys, field, value):
+    lines = (workspace / "tasks" / "copa.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    example = rows[-1]
+    if value is None:
+        del example[field]
+    else:
+        example[field] = value
+    task = tmp_path / "copa.jsonl"
+    task.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    args = ["eval", "--out", str(tmp_path), "--set", f"eval.tasks={json.dumps([str(task)])}"]
+    assert main(args + _model_args(seq_len=96)) == 5
+    assert "bad task file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ["[1, 2]", '"text"'], ids=["list", "string"])
+@pytest.mark.parametrize("command", ["eval", "contamination"])
+def test_task_record_that_is_not_an_object_is_data_error(tmp_path, workspace, capsys, command, record):
+    lines = (workspace / "tasks" / "copa.jsonl").read_text().splitlines()
+    task = tmp_path / "copa.jsonl"
+    task.write_text("\n".join(lines + [record]) + "\n")
+    key = "tasks" if command == "eval" else "datasets"
+    args = [command, "--out", str(tmp_path), "--set", f"{command}.{key}={json.dumps([str(task)])}"]
+    args += ["--set", f"contamination.corpus={workspace}/corpus.jsonl"] + _model_args(seq_len=96)
+    assert main(args) == 5
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- shard-plan

@@ -7,7 +7,6 @@ from moelab.contamination import (
     BloomFilter,
     NgramIndex,
     build_ngram_index,
-    classify_example,
     is_dirty,
     ngrams,
     normalize_tokens,
@@ -75,12 +74,12 @@ def test_no_cross_document_ngrams():
 def test_verbatim_example_is_dirty():
     corpus = ["the river runs past the old stone door every day"]
     index = build_ngram_index(corpus, n=4)
-    assert classify_example(corpus[0], index) == "dirty"
+    assert is_dirty(corpus[0], index)
 
 
 def test_disjoint_vocabulary_is_clean():
     index = build_ngram_index(["red blue green stone river"], n=2)
-    assert classify_example("totally different words here", index) == "clean"
+    assert not is_dirty("totally different words here", index)
 
 
 def test_single_shared_span_is_dirty():

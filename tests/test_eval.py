@@ -19,7 +19,6 @@ from moelab.evalharness import (
     generative_metrics,
     load_task,
     normalize_answer,
-    sample_topk,
     save_task,
     score_option,
     stub_task,
@@ -283,46 +282,6 @@ def test_beam_on_a_real_model_emits_valid_ids():
     assert all(0 <= t < 259 for t in ids)
     with pytest.raises(ConfigError):
         generate_beam(scorer, [], beam_width=0)
-
-
-def test_topk_one_is_greedy():
-    scorer = EnumScorer(_TRAP)
-    rng = np.random.default_rng(0)
-    ids = sample_topk(scorer, [], k=1, rng=rng, max_tokens=3, eos_id=2)
-    assert ids == [0, 0]
-
-
-def test_topk_never_leaves_the_top_k():
-    probs = [0.4, 0.3, 0.15, 0.1, 0.05]
-    scorer = EnumScorer({(): probs}, vocab=5)
-    rng = np.random.default_rng(1)
-    seen = set()
-    for _ in range(2000):
-        ids = sample_topk(scorer, [], k=3, rng=rng, max_tokens=1, eos_id=99)
-        seen.add(ids[0])
-    assert seen == {0, 1, 2}
-
-
-def test_full_vocab_topk_matches_the_model_distribution():
-    probs = np.array([0.5, 0.3, 0.2])
-    scorer = EnumScorer({(): probs}, vocab=3)
-    rng = np.random.default_rng(2)
-    n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[sample_topk(scorer, [], k=3, rng=rng, max_tokens=1, eos_id=99)[0]] += 1
-    for i, p in enumerate(probs):
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(counts[i] / n - p) < 3 * sigma, i
-
-
-def test_topk_validation():
-    scorer = EnumScorer(_TRAP)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        sample_topk(scorer, [], k=0, rng=rng)
-    with pytest.raises(ConfigError):
-        sample_topk(scorer, [], temperature=0.0, rng=rng)
 
 
 # ----------------------------------------------------------------- metrics

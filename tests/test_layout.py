@@ -1,8 +1,9 @@
 """Source layout rules for ``src/moelab``, checked on the parsed modules.
 
 scipy stays inside ``tensor.py``; modules share only public names; every
-generator is built from a seed, so no library function draws unseeded; and
-only ``cli.main`` prints to stdout, after it has written the report.
+generator is built from a seed, so no library function draws unseeded;
+only ``cli.main`` prints to stdout, after it has written the report; and
+only ``Tensor.__init__`` and ``tensor._op`` write the autodiff tape's edges.
 """
 
 import ast
@@ -71,3 +72,31 @@ def test_only_cli_main_prints_to_stdout(path):
             and not any(kw.arg == "file" for kw in node.keywords)
         ):
             assert id(node) in allowed, f"line {node.lineno} prints to stdout"
+
+
+def _parents_writes(node, scope=""):
+    """(enclosing function, line) of each store to, or method call on, ``._parents``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    target = None
+    if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
+        target = node if isinstance(node, ast.Attribute) else node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        target = node.func.value
+    if isinstance(target, ast.Attribute) and target.attr == "_parents":
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _parents_writes(child, scope)
+
+
+def test_only_the_node_constructor_writes_tape_edges():
+    tensor = next(p for p in MODULES if p.name == "tensor.py")
+    writes = list(_parents_writes(_tree(tensor)))
+    assert {scope for scope, _ in writes} == {"Tensor.__init__", "_op"}, writes
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor.py"], ids=lambda p: p.name)
+def test_tape_edges_stay_inside_tensor(path):
+    for node in ast.walk(_tree(path)):
+        names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)}
+        assert "_parents" not in names, f"line {node.lineno} mentions _parents"
