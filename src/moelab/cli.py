@@ -185,15 +185,15 @@ def _section(config: dict, name: str) -> dict:
 
 
 def _num(section: dict, key: str, default=None, cast=float):
-    """A finite numeric setting; booleans, and fractions where ``cast`` is int, are refused."""
+    """A finite JSON number; strings, booleans, and fractions where ``cast`` is int, are refused."""
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"config is missing {key!r}")
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be numeric, got {value!r}")
     try:
         number = cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} must be numeric, got {value!r}") from exc
     if cast is float and not math.isfinite(number):
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")

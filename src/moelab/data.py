@@ -71,12 +71,14 @@ class Document:
     quality_score: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.text:
-            raise ConfigError(f"document {self.id!r} has empty text")
+        if not isinstance(self.text, str) or not self.text:
+            raise ConfigError(f"document {self.id!r} text must be a non-empty string")
         if self.source not in SOURCES:
             raise ConfigError(f"unknown source {self.source!r}; expected one of {SOURCES}")
-        if self.quality_score is not None and not 0.0 <= self.quality_score <= 1.0:
-            raise ConfigError(f"quality_score {self.quality_score} outside [0, 1]")
+        score = self.quality_score
+        not_number = isinstance(score, bool) or not isinstance(score, (int, float))
+        if score is not None and (not_number or not 0 <= score <= 1):
+            raise ConfigError(f"quality_score must be a number in [0, 1], got {score!r}")
 
 
 def load_documents(path: str | Path) -> list[Document]:
@@ -185,6 +187,10 @@ def train_quality_classifier(
     Deterministic for a given seed and input order: each epoch visits the
     pooled examples in one seeded shuffle.
     """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if not lr > 0:
+        raise ConfigError(f"lr must be > 0, got {lr}")
     curated = list(curated)
     web = list(web)
     if not curated or not web:

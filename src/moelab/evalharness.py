@@ -230,6 +230,8 @@ def generate_beam(
     """Length-normalized beam search; width 1 is greedy decoding."""
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
+    if max_tokens < 1:
+        raise ConfigError(f"max_tokens must be >= 1, got {max_tokens}")
     prompt_ids = list(prompt_ids)
     beams: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)]
     for _ in range(max_tokens):

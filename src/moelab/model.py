@@ -7,16 +7,18 @@ everywhere).  Attention uses a learned per-head relative-position bias over
 log-spaced distance buckets, and the output projection is tied to the input
 embedding.
 
-Parameter accounting deliberately excludes the embedding table, counts
-activated parameters per token (two experts per MoE layer), and derives
-FLOPs/token as 2 * activated-params / 1e9 GFLOPs.
+``param_shapes`` is the one parameter layout: it names every weight and
+gives its shape.  ``build`` initializes from it, the model holds a name ->
+tensor dict in its order, and ``count_params`` sums it.  Parameter
+accounting deliberately excludes the embedding table, counts activated
+parameters per token (two experts per MoE layer), and derives FLOPs/token
+as 2 * activated-params / 1e9 GFLOPs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "ModelConfig",
     "TransformerLM",
     "build",
+    "param_shapes",
     "count_params",
     "flops_per_token",
     "relative_buckets",
@@ -75,35 +78,6 @@ class ModelConfig:
 
     def is_moe_layer(self, layer_index: int) -> bool:
         return self.n_experts > 1 and layer_index % 2 == 1
-
-
-# Parameters every block holds, in ``params()`` order; the FFN fields follow.
-_SHARED_FIELDS = ("wq", "wk", "wv", "wo", "norm_attn", "norm_ffn", "bias_table")
-_DENSE_FIELDS = ("wa", "wb", "wout")
-
-
-@dataclass
-class Block:
-    """One transformer layer: attention plus either a dense or MoE FFN."""
-
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    norm_attn: Tensor
-    norm_ffn: Tensor
-    bias_table: Tensor
-    # dense path
-    wa: Tensor | None = None
-    wb: Tensor | None = None
-    wout: Tensor | None = None
-    # moe path
-    experts: list[ExpertFFN] = field(default_factory=list)
-    gate: Tensor | None = None
-
-    @property
-    def is_moe(self) -> bool:
-        return self.gate is not None
 
 
 def relative_buckets(seq_len: int, n_buckets: int) -> np.ndarray:
@@ -157,35 +131,44 @@ def rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
     return x * (ms + _NORM_EPS) ** -0.5 * scale
 
 
-class TransformerLM:
-    """The assembled language model: embedding, blocks, final norm, tied output."""
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in ``params()`` and initialization order.
 
-    def __init__(self, config: ModelConfig, embed: Tensor, blocks: list[Block], norm_final: Tensor):
+    The embedding comes first and the final norm scale last.  Each layer holds
+    attention, two norm scales and a bias table, then a gate and ``n_experts``
+    experts (MoE layers) or the three GEGLU matrices (dense layers).
+    """
+    cfg = config
+    d, ff, a = cfg.d_model, cfg.d_ff, cfg.n_heads * cfg.d_head  # a: attention width
+    shapes = {"embed": (cfg.vocab_size, d)}
+    for i in range(cfg.n_layers):
+        p = f"layer{i}."
+        shapes |= {p + "wq": (d, a), p + "wk": (d, a), p + "wv": (d, a), p + "wo": (a, d)}
+        shapes |= {p + "norm_attn": (d,), p + "norm_ffn": (d,)}
+        shapes[p + "bias_table"] = (cfg.n_heads, cfg.rel_pos_buckets)
+        if cfg.is_moe_layer(i):
+            shapes[p + "gate"] = (d, cfg.n_experts)
+            for e in range(cfg.n_experts):
+                shapes |= {f"{p}expert{e}.w_in": (d, ff), f"{p}expert{e}.w_out": (ff, d)}
+        else:
+            shapes |= {p + "wa": (d, ff), p + "wb": (d, ff), p + "wout": (ff, d)}
+    shapes["norm_final"] = (d,)
+    return shapes
+
+
+class TransformerLM:
+    """The assembled language model over the named tensors ``param_shapes`` lays out."""
+
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
-        self.embed = embed
-        self.blocks = blocks
-        self.norm_final = norm_final
+        self._params = params
 
     def params(self) -> dict[str, Tensor]:
         """Named parameter tensors in a fixed, deterministic order."""
-        out: dict[str, Tensor] = {"embed": self.embed}
-        for i, blk in enumerate(self.blocks):
-            p = f"layer{i}"
-            for name in _SHARED_FIELDS:
-                out[f"{p}.{name}"] = getattr(blk, name)
-            if blk.is_moe:
-                out[f"{p}.gate"] = blk.gate
-                for e, expert in enumerate(blk.experts):
-                    out[f"{p}.expert{e}.w_in"] = expert.w_in
-                    out[f"{p}.expert{e}.w_out"] = expert.w_out
-            else:
-                for name in _DENSE_FIELDS:
-                    out[f"{p}.{name}"] = getattr(blk, name)
-        out["norm_final"] = self.norm_final
-        return out
+        return dict(self._params)
 
     def zero_grad(self) -> None:
-        for p in self.params().values():
+        for p in self._params.values():
             p.zero_grad()
 
     def forward(self, token_ids: np.ndarray) -> tuple[Tensor, Tensor, list[DispatchStats]]:
@@ -202,31 +185,38 @@ class TransformerLM:
         if ids.shape[1] > cfg.seq_len:
             raise ConfigError(f"sequence length {ids.shape[1]} exceeds seq_len={cfg.seq_len}")
         batch, seq = ids.shape
-        x = T.embedding(self.embed, ids)
+        p = self._params
+        x = T.embedding(p["embed"], ids)
 
         aux_terms: list[Tensor] = []
         stats_list: list[DispatchStats] = []
-        for blk in self.blocks:
-            h = rmsnorm(x, blk.norm_attn)
-            q = self._heads(T.matmul(h, blk.wq), batch, seq)
-            k = self._heads(T.matmul(h, blk.wk), batch, seq)
-            v = self._heads(T.matmul(h, blk.wv), batch, seq)
-            attended = attention_with_relative_bias(q, k, v, blk.bias_table)
+        for i in range(cfg.n_layers):
+            layer = f"layer{i}"
+            h = rmsnorm(x, p[f"{layer}.norm_attn"])
+            q = self._heads(T.matmul(h, p[f"{layer}.wq"]), batch, seq)
+            k = self._heads(T.matmul(h, p[f"{layer}.wk"]), batch, seq)
+            v = self._heads(T.matmul(h, p[f"{layer}.wv"]), batch, seq)
+            attended = attention_with_relative_bias(q, k, v, p[f"{layer}.bias_table"])
             merged = attended.transpose((0, 2, 1, 3)).reshape((batch, seq, cfg.n_heads * cfg.d_head))
-            x = x + T.matmul(merged, blk.wo)
+            x = x + T.matmul(merged, p[f"{layer}.wo"])
 
-            h2 = rmsnorm(x, blk.norm_ffn)
-            if blk.is_moe:
+            h2 = rmsnorm(x, p[f"{layer}.norm_ffn"])
+            gate = p.get(f"{layer}.gate")  # an MoE layer, with one expert per gate column
+            if gate is not None:
+                experts = [
+                    ExpertFFN(p[f"{layer}.expert{e}.w_in"], p[f"{layer}.expert{e}.w_out"])
+                    for e in range(gate.shape[1])
+                ]
                 flat = h2.reshape((batch * seq, cfg.d_model))
-                routed, stats = moe_forward(flat, blk.experts, blk.gate, cfg.capacity_factor)
+                routed, stats = moe_forward(flat, experts, gate, cfg.capacity_factor)
                 x = x + routed.reshape((batch, seq, cfg.d_model))
                 aux_terms.append(aux_load_balance_loss(stats))
                 stats_list.append(stats)
             else:
-                x = x + geglu_ffn(h2, blk.wa, blk.wb, blk.wout)
+                x = x + geglu_ffn(h2, p[f"{layer}.wa"], p[f"{layer}.wb"], p[f"{layer}.wout"])
 
-        x = rmsnorm(x, self.norm_final)
-        logits = T.matmul(x, self.embed.transpose((1, 0)))
+        x = rmsnorm(x, p["norm_final"])
+        logits = T.matmul(x, p["embed"].transpose((1, 0)))
         if aux_terms:
             aux = sum(aux_terms[1:], aux_terms[0]) * (1.0 / len(aux_terms))
         else:
@@ -238,78 +228,44 @@ class TransformerLM:
         return x.reshape((batch, seq, cfg.n_heads, cfg.d_head)).transpose((0, 2, 1, 3))
 
 
-def _init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    return Tensor(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape), requires_grad=True)
-
-
 def build(config: ModelConfig, seed: int) -> TransformerLM:
     """Deterministically initialize a model: scaled normals, variance 1/fan_in.
 
-    Relative-bias tables start at zero (plain attention) and norm scales at
-    one.  The same (config, seed) pair always yields bit-identical parameters.
+    Walks ``param_shapes`` in order.  The fan-in of a weight is its first
+    axis, except the embedding's, which is ``d_model``.  Relative-bias tables
+    start at zero (plain attention) and norm scales at one; neither draws.
+    The same (config, seed) pair always yields bit-identical parameters.
     """
     rng = np.random.default_rng(seed)
-    cfg = config
-    attn_width = cfg.n_heads * cfg.d_head
-    embed = _init(rng, (cfg.vocab_size, cfg.d_model), cfg.d_model)
-    blocks: list[Block] = []
-    for layer in range(cfg.n_layers):
-        blk = Block(
-            wq=_init(rng, (cfg.d_model, attn_width), cfg.d_model),
-            wk=_init(rng, (cfg.d_model, attn_width), cfg.d_model),
-            wv=_init(rng, (cfg.d_model, attn_width), cfg.d_model),
-            wo=_init(rng, (attn_width, cfg.d_model), attn_width),
-            norm_attn=Tensor(np.ones(cfg.d_model), requires_grad=True),
-            norm_ffn=Tensor(np.ones(cfg.d_model), requires_grad=True),
-            bias_table=Tensor(np.zeros((cfg.n_heads, cfg.rel_pos_buckets)), requires_grad=True),
-        )
-        if cfg.is_moe_layer(layer):
-            blk.gate = _init(rng, (cfg.d_model, cfg.n_experts), cfg.d_model)
-            for _ in range(cfg.n_experts):
-                blk.experts.append(
-                    ExpertFFN(
-                        w_in=_init(rng, (cfg.d_model, cfg.d_ff), cfg.d_model),
-                        w_out=_init(rng, (cfg.d_ff, cfg.d_model), cfg.d_ff),
-                    )
-                )
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        kind = name.rpartition(".")[2]
+        if kind.startswith("norm"):
+            data = np.ones(shape)
+        elif kind == "bias_table":
+            data = np.zeros(shape)
         else:
-            blk.wa = _init(rng, (cfg.d_model, cfg.d_ff), cfg.d_model)
-            blk.wb = _init(rng, (cfg.d_model, cfg.d_ff), cfg.d_model)
-            blk.wout = _init(rng, (cfg.d_ff, cfg.d_model), cfg.d_ff)
-        blocks.append(blk)
-    norm_final = Tensor(np.ones(cfg.d_model), requires_grad=True)
-    return TransformerLM(cfg, embed, blocks, norm_final)
+            fan_in = shape[1] if name == "embed" else shape[0]
+            data = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return TransformerLM(config, params)
 
 
 def count_params(config: ModelConfig) -> tuple[int, int]:
     """(total, activated-per-token) parameter counts, excluding the embedding.
 
-    Matches exactly what ``build`` creates: per layer 4 * d_model * n_heads *
-    d_head attention weights, dense GEGLU layers 3 * d_model * d_ff, experts
-    2 * d_model * d_ff each plus a d_model * n_experts gate, two norm scales
-    per layer plus a final one, and a per-layer bias table.  A token activates
-    two experts per MoE layer.
+    Sums ``param_shapes``.  A token activates two experts per MoE layer, so
+    experts 0 and 1 stand for them in the activated count.
     """
-    cfg = config
-    attn = 4 * cfg.d_model * cfg.n_heads * cfg.d_head
-    norms = 2 * cfg.d_model
-    bias = cfg.n_heads * cfg.rel_pos_buckets
-    dense_ffn = 3 * cfg.d_model * cfg.d_ff
-    expert = 2 * cfg.d_model * cfg.d_ff
-
-    total = cfg.d_model  # final norm
-    activated = cfg.d_model
-    for layer in range(cfg.n_layers):
-        shared = attn + norms + bias
-        total += shared
-        activated += shared
-        if cfg.is_moe_layer(layer):
-            gate = cfg.d_model * cfg.n_experts
-            total += cfg.n_experts * expert + gate
-            activated += 2 * expert + gate
-        else:
-            total += dense_ffn
-            activated += dense_ffn
+    total = activated = 0
+    for name, shape in param_shapes(config).items():
+        if name == "embed":
+            continue
+        size = math.prod(shape)
+        total += size
+        expert = name.split(".")[1] if ".expert" in name else None
+        if expert in (None, "expert0", "expert1"):
+            activated += size
     return total, activated
 
 
@@ -327,9 +283,10 @@ def reduce_to_single_expert(model: TransformerLM) -> TransformerLM:
     computes the same function as the original, since the top-2 combine is a
     convex combination of equal outputs.
     """
-    d_model = model.config.d_model
-    blocks = [
-        replace(blk, experts=blk.experts[:1], gate=Tensor(np.zeros((d_model, 1)))) if blk.is_moe else blk
-        for blk in model.blocks
-    ]
-    return TransformerLM(model.config, model.embed, blocks, model.norm_final)
+    kept: dict[str, Tensor] = {}
+    for name, tensor in model.params().items():
+        if name.endswith(".gate"):
+            kept[name] = Tensor(np.zeros((tensor.shape[0], 1)))
+        elif ".expert" not in name or ".expert0." in name:
+            kept[name] = tensor
+    return TransformerLM(model.config, kept)

@@ -279,6 +279,10 @@ def train(
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    if not peak_lr > 0:
+        raise ConfigError(f"peak_lr must be > 0, got {peak_lr}")
+    if not aux_coeff >= 0:
+        raise ConfigError(f"aux_coeff must be >= 0, got {aux_coeff}")
     warmup = warmup_steps if warmup_steps is not None else max(10, steps // 100)
     state = AdafactorState()
     data_seed = substream_seed(seed, "data")

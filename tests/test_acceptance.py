@@ -208,10 +208,10 @@ def test_criterion_05_duplicated_experts_match_the_reduced_dense_model():
         seq_len=8,
     )
     model = build(cfg, seed=50)
-    for blk in model.blocks:
-        if blk.is_moe:
-            blk.experts[1].w_in.data[...] = blk.experts[0].w_in.data
-            blk.experts[1].w_out.data[...] = blk.experts[0].w_out.data
+    params = model.params()
+    for name, p in params.items():
+        if ".expert1." in name:
+            p.data[...] = params[name.replace(".expert1.", ".expert0.")].data
     single = reduce_to_single_expert(model)
     rng = np.random.default_rng(51)
     for _ in range(100):

@@ -154,6 +154,45 @@ def test_non_finite_number_setting_is_config_error(tmp_path, capsys, pair):
     assert not (tmp_path / "energy_report.json").exists()
 
 
+def _command_args(command, workspace, out):
+    """Arguments for a run of ``command`` that exits 0 as they stand."""
+    if command == "train":
+        return _train_args(workspace, out, steps=2)
+    if command == "eval":
+        return _eval_args(workspace, out)
+    if command == "shard-plan":
+        return ["shard-plan", "--out", str(out)] + _model_args(n_experts=16, batch_size=16)
+    if command == "energy":
+        pairs = ("energy.chips=8", "energy.watts_per_chip=300", "energy.hours=1")
+    else:
+        corpus = [f"data.{key}={workspace}/{key}.jsonl" for key in ("corpus", "curated", "web")]
+        pairs = (*corpus, "data.hash_dim=4096")
+    return [command, "--out", str(out)] + [arg for pair in pairs for arg in ("--set", pair)]
+
+
+@pytest.mark.parametrize(
+    "command, pairs, key",
+    [
+        ("shard-plan", ['mesh.x="8"', "mesh.y=2"], "'x'"),
+        ("energy", ['energy.hours="574"'], "'hours'"),
+        ("train", ['trainer.steps="3"'], "'steps'"),
+        ("eval", ["eval.max_tokens=-3"], "max_tokens"),
+        ("train", ["trainer.peak_lr=-1"], "peak_lr"),
+        ("train", ["trainer.aux_coeff=-5"], "aux_coeff"),
+        ("data-filter", ["data.lr=-2"], "lr"),
+        ("data-filter", ["data.epochs=0"], "epochs"),
+    ],
+    ids=["quoted-mesh", "quoted-hours", "quoted-steps", "max-tokens", "peak-lr", "aux-coeff", "lr", "epochs"],
+)
+def test_quoted_or_out_of_range_number_is_config_error(tmp_path, workspace, capsys, command, pairs, key):
+    args = _command_args(command, workspace, tmp_path)
+    for pair in pairs:
+        args += ["--set", pair]
+    assert main(args) == 3
+    assert key in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.suffix in (".json", ".jsonl", ".csv")]
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -195,6 +234,20 @@ def test_bad_document_record_is_data_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x", "source": "martian", "text": "hi"}\n')
     assert main(["data-mix", "--set", f"data.corpus={bad}", "--out", str(tmp_path)]) == 5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("text", 5), ("text", ["x"]), ("quality_score", True), ("quality_score", "0.5")],
+    ids=["int-text", "list-text", "boolean-score", "string-score"],
+)
+def test_bad_document_field_type_is_data_error(tmp_path, capsys, field, value):
+    record = {"id": "x", "source": "books", "text": "hi", field: value}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    assert main(["data-mix", "--set", f"data.corpus={bad}", "--out", str(tmp_path)]) == 5
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "mixed.jsonl").exists()
 
 
 def test_corrupt_checkpoint_is_data_error(tmp_path, workspace):

@@ -2,8 +2,9 @@
 
 scipy stays inside ``tensor.py``; modules share only public names; every
 generator is built from a seed, so no library function draws unseeded;
-only ``cli.main`` prints to stdout, after it has written the report; and
-only ``Tensor.__init__`` and ``tensor._op`` write the autodiff tape's edges.
+only ``cli.main`` prints to stdout, after it has written the report;
+only ``Tensor.__init__`` and ``tensor._op`` write the autodiff tape's edges;
+and every imported name is used or re-exported.
 """
 
 import ast
@@ -100,3 +101,27 @@ def test_tape_edges_stay_inside_tensor(path):
     for node in ast.walk(_tree(path)):
         names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)}
         assert "_parents" not in names, f"line {node.lineno} mentions _parents"
+
+
+def _exported(tree):
+    """The string entries of a module's ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used | _exported(tree)}
+    assert not unused, f"imported but unused: {unused}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moelab import tensor as T
+from moelab.configs import PRESETS
 from moelab.model import (
     ModelConfig,
     attention_with_relative_bias,
@@ -67,13 +68,16 @@ def test_build_is_deterministic():
 
 
 def test_build_structure():
-    dense = build(tiny_cfg(n_experts=1), seed=0)
-    assert all(not blk.is_moe for blk in dense.blocks)
+    def experts(params, i):
+        return {name.split(".")[1] for name in params if name.startswith(f"layer{i}.expert")}
 
-    sparse = build(tiny_cfg(n_experts=4, n_layers=4), seed=0)
-    moe_layers = [i for i, blk in enumerate(sparse.blocks) if blk.is_moe]
+    dense = build(tiny_cfg(n_experts=1), seed=0).params()
+    assert all(f"layer{i}.gate" not in dense and not experts(dense, i) for i in range(2))
+
+    sparse = build(tiny_cfg(n_experts=4, n_layers=4), seed=0).params()
+    moe_layers = [i for i in range(4) if f"layer{i}.gate" in sparse]
     assert moe_layers == [1, 3]
-    assert all(len(sparse.blocks[i].experts) == 4 for i in moe_layers)
+    assert all(len(experts(sparse, i)) == 4 for i in moe_layers)
 
 
 def test_forward_shapes_and_stats():
@@ -240,18 +244,19 @@ def test_count_params_matches_enumeration(cfg):
 
 def test_activated_count_by_manual_walk():
     cfg = tiny_cfg(n_experts=4)
-    model = build(cfg, seed=0)
+    params = build(cfg, seed=0).params()
     activated = 0
-    for name, p in model.params().items():
+    for name, p in params.items():
         if name == "embed":
             continue
         if ".expert" in name:
             continue  # count experts separately below
         activated += p.size
     # two activated experts per MoE layer
-    for i, blk in enumerate(model.blocks):
-        if blk.is_moe:
-            activated += 2 * (blk.experts[0].w_in.size + blk.experts[0].w_out.size)
+    for i in range(cfg.n_layers):
+        if f"layer{i}.gate" in params:
+            expert0 = params[f"layer{i}.expert0.w_in"], params[f"layer{i}.expert0.w_out"]
+            activated += 2 * (expert0[0].size + expert0[1].size)
     assert activated == count_params(cfg)[1]
 
 
@@ -260,14 +265,48 @@ def test_flops_per_token():
     assert flops_per_token(cfg) == 2.0 * count_params(cfg)[1] / 1e9
 
 
+# Literal (total, activated) counts per preset; any change to the layout shows here.
+PINNED_COUNTS = {
+    "0.1b": (113270016, 113270016),
+    "0.1b-64e": (1883036928, 127720704),
+    "1.7b": (1610725376, 1610725376),
+    "1.7b-32e": (13892433920, 1812838400),
+    "1.7b-64e": (26778122240, 1813624832),
+    "1.7b-128e": (52549498880, 1815197696),
+    "1.7b-256e": (104092252160, 1818343424),
+    "8b": (8590233600, 8590233600),
+    "8b-64e": (142812155904, 9668169728),
+    "137b": (137440272384, 137440272384),
+    "64b-64e": (1159659266048, 94507376640),
+    "dense-175b": (173948841984, 173948841984),
+}
+
+
+def test_preset_counts_are_pinned():
+    assert {name: count_params(cfg) for name, cfg in PRESETS.items()} == PINNED_COUNTS
+
+
+def test_parameter_names_order_and_init_are_pinned():
+    params = build(tiny_cfg(), seed=7).params()
+    shared = ["wq", "wk", "wv", "wo", "norm_attn", "norm_ffn", "bias_table"]
+    experts = [f"expert{e}.{w}" for e in range(4) for w in ("w_in", "w_out")]
+    assert list(params) == (
+        ["embed"]
+        + [f"layer0.{n}" for n in shared + ["wa", "wb", "wout"]]
+        + [f"layer1.{n}" for n in shared + ["gate"] + experts]
+        + ["norm_final"]
+    )
+    assert params_checksum(params) == "e29d2e75839fc115a2f926191bf5ac8e900cf65ebf83c8f24ec3750e5cc39059"
+
+
 def test_dense_reduction_equivalence():
     cfg = tiny_cfg(n_experts=2, n_layers=2)
     model = build(cfg, seed=10)
     # duplicate expert 0 into expert 1 in every MoE layer
-    for blk in model.blocks:
-        if blk.is_moe:
-            blk.experts[1].w_in.data[...] = blk.experts[0].w_in.data
-            blk.experts[1].w_out.data[...] = blk.experts[0].w_out.data
+    params = model.params()
+    for name, p in params.items():
+        if ".expert1." in name:
+            p.data[...] = params[name.replace(".expert1.", ".expert0.")].data
     single = reduce_to_single_expert(model)
     rng = np.random.default_rng(11)
     for _ in range(10):
