@@ -71,6 +71,8 @@ class Document:
     quality_score: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise ConfigError(f"document id must be a non-empty string, got {self.id!r}")
         if not isinstance(self.text, str) or not self.text:
             raise ConfigError(f"document {self.id!r} text must be a non-empty string")
         if self.source not in SOURCES:

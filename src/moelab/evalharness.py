@@ -299,6 +299,8 @@ def evaluate_task(
     """Score every example; returns the 0-100 task score plus run metadata."""
     if not task.examples:
         raise ConfigError(f"task {task.name} has no examples")
+    if max_tokens < 1:
+        raise ConfigError(f"max_tokens must be >= 1, got {max_tokens}")
     values = []
     for i, example in enumerate(task.examples):
         example_seed = substream_seed(seed, f"{task.name}:{i}")

@@ -88,13 +88,12 @@ def relative_buckets(seq_len: int, n_buckets: int) -> np.ndarray:
     """
     if n_buckets < 2:
         raise ConfigError(f"n_buckets must be >= 2, got {n_buckets}")
-    pos = np.arange(seq_len)
-    dist = np.clip(pos[:, None] - pos[None, :], 0, None)
+    dist = np.arange(seq_len)
     n_exact = max(n_buckets // 2, 1)
     scale = (n_buckets - n_exact) / math.log(max(_MAX_REL_DISTANCE / n_exact, 2.0))
     logged = n_exact + np.floor(np.log(np.maximum(dist, 1) / n_exact) * scale).astype(np.int64)
-    bucket = np.where(dist < n_exact, dist, np.minimum(logged, n_buckets - 1))
-    return bucket.astype(np.intp)
+    bucket = np.where(dist < n_exact, dist, np.minimum(logged, n_buckets - 1)).astype(np.intp)
+    return bucket[np.clip(dist[:, None] - dist[None, :], 0, None)]
 
 
 def attention_with_relative_bias(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor) -> Tensor:
@@ -115,7 +114,7 @@ def attention_with_relative_bias(q: Tensor, k: Tensor, v: Tensor, bias_table: Te
     buckets = relative_buckets(seq_len, bias_table.shape[1])
     rows = T.embedding(bias_table.transpose((1, 0)), buckets.reshape(-1))
     bias = rows.transpose((1, 0)).reshape((n_heads, seq_len, seq_len))
-    mask = np.where(np.tril(np.ones((seq_len, seq_len), dtype=bool)), 0.0, _MASK_FILL)
+    mask = np.where(np.arange(seq_len)[:, None] >= np.arange(seq_len), 0.0, _MASK_FILL)
     weights = T.softmax(scores + bias + Tensor(mask), axis=-1)
     return T.matmul(weights, v)
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, gelu, matmul, softmax, take_along_last
+from .tensor import Tensor, concat, embedding, gelu, matmul, softmax, take_along_last
 
 __all__ = [
     "DispatchStats",
@@ -71,15 +71,16 @@ def expert_capacity(n_tokens: int, n_experts: int, capacity_factor: float = 1.25
     return math.ceil(capacity_factor * 2.0 * n_tokens / n_experts)
 
 
-def route(probs: Tensor, capacity: int) -> tuple[np.ndarray, Tensor, np.ndarray]:
+def route(probs: Tensor, capacity: int) -> tuple[np.ndarray, Tensor, np.ndarray, np.ndarray]:
     """Top-2 routing of [T, E] gate probabilities under a per-expert capacity.
 
     Returns ``idx`` [T, 2], each token's two most probable experts (ties to
     the lower index); ``weights`` [T, 2], their probabilities renormalized to
-    sum to one; and ``keep`` [T, 2], the assignments that fit under
-    ``capacity``, consumed in (token, slot) order: earlier tokens first, and a
-    token's first slot ahead of its second.  A single-expert gate routes both
-    slots to expert 0 with weights (1, 0) and never keeps the second slot.
+    sum to one; ``keep`` [T, 2], the assignments that fit under ``capacity``,
+    consumed in (token, slot) order: earlier tokens first, and a token's first
+    slot ahead of its second; and ``slot`` [T, 2], the kept assignments ahead
+    of each in its expert's queue (its buffer row).  A single-expert gate
+    routes both slots to expert 0, weights (1, 0), and never keeps slot two.
     """
     n_experts = probs.shape[-1]
     if n_experts == 1:
@@ -99,7 +100,11 @@ def route(probs: Tensor, capacity: int) -> tuple[np.ndarray, Tensor, np.ndarray]
     keep = keep.reshape(idx.shape)
     if n_experts == 1:
         keep[:, 1] = False
-    return idx, weights, keep
+    kept_sorted = keep.reshape(-1)[order]
+    ahead = np.cumsum(kept_sorted) - kept_sorted  # kept assignments earlier in sorted order
+    slot = np.empty(flat.size, dtype=np.intp)
+    slot[order] = ahead - ahead[starts[sorted_e]]
+    return idx, weights, keep, slot.reshape(idx.shape)
 
 
 def moe_forward(
@@ -115,11 +120,11 @@ def moe_forward(
     one slot contribute that slot's weighted output alone (no renormalization
     after a capacity drop).
 
-    Combination is mask-based: every expert runs over the full batch and each
-    token's per-expert weight (zero for non-selected or dropped slots) scales
-    the result.  Array shapes therefore never depend on routing decisions,
-    which keeps position i's output bit-stable under perturbations of later
-    tokens, and zero weights still yield exactly-zero expert gradients.
+    Each expert runs once on a [C, M] buffer, C = min(max(capacity, 2), T):
+    its kept tokens in slot order, then padding rows that are never combined.
+    Buffer shapes depend only on (T, E, capacity_factor) and a kept token's
+    slot only on earlier tokens, so position i's output is bit-stable under
+    perturbations of later tokens.
     """
     if tokens.ndim != 2:
         raise ConfigError(f"tokens must be [T, M], got shape {tokens.shape}")
@@ -130,20 +135,21 @@ def moe_forward(
             f"gate weights shape {gate_weights.shape} does not match "
             f"(d_model={tokens.shape[1]}, n_experts={n_experts})"
         )
+    capacity = expert_capacity(n_tokens, n_experts, capacity_factor)
     probs = softmax(matmul(tokens, gate_weights), axis=-1)
-    idx, weights, keep = route(probs, expert_capacity(n_tokens, n_experts, capacity_factor))
+    idx, weights, keep, slot = route(probs, capacity)
 
-    terms: list[Tensor] = []
-    for e in range(n_experts):
-        mask = ((idx == e) & keep).astype(np.float64)
-        if mask.any():
-            per_token = (weights * mask).sum(axis=-1, keepdims=True)
-            terms.append(experts[e](tokens) * per_token)
+    # T rows suffice (no expert holds a token twice); two at least, because a one-row
+    # product takes BLAS's matrix-vector path, whose sums differ in the last bit.
+    rows = min(max(capacity, 2), n_tokens)
+    source = np.zeros((n_experts, rows), dtype=np.intp)  # padding rows repeat token 0
+    source[idx[keep], slot[keep]] = np.nonzero(keep)[0]
+    outputs = concat([expert(embedding(tokens, source[e])) for e, expert in enumerate(experts)])
+    picked = embedding(outputs, np.where(keep, idx * rows + slot, 0))
+    out = (picked * (weights * keep).reshape((n_tokens, 2, 1))).sum(axis=1)
     kept_any = keep.any(axis=1)
     if not kept_any.all():
-        terms.append(tokens * (~kept_any).astype(np.float64)[:, None])
-    # Never empty: capacity is at least 1, so the first (token, slot) is kept.
-    out = sum(terms[1:], terms[0])
+        out = out + tokens * (~kept_any).astype(np.float64)[:, None]
 
     stats = DispatchStats(
         tokens_per_expert=np.bincount(idx[:, 0], minlength=n_experts).astype(np.int64),

@@ -28,6 +28,7 @@ __all__ = [
     "matmul",
     "embedding",
     "take_along_last",
+    "concat",
     "cross_entropy",
     "grad_check",
 ]
@@ -335,6 +336,16 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
         return gx
 
     return _op(np.take_along_axis(x.data, idx, axis=-1), (x, back))
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors along their first axis; each part's gradient is its row slice."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts or any(p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise ShapeError(f"concat needs matching trailing shapes, got {[p.shape for p in parts]}")
+    ends = np.cumsum([p.shape[0] for p in parts])
+    edges = [(p, lambda g, lo=end - p.shape[0], hi=end: g[lo:hi]) for p, end in zip(parts, ends)]
+    return _op(np.concatenate([p.data for p in parts]), *edges)
 
 
 # ---- losses ----------------------------------------------------------------

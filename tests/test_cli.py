@@ -177,17 +177,18 @@ def _command_args(command, workspace, out):
         ("energy", ['energy.hours="574"'], "'hours'"),
         ("train", ['trainer.steps="3"'], "'steps'"),
         ("eval", ["eval.max_tokens=-3"], "max_tokens"),
+        ("eval", ['eval.tasks=["{workspace}/tasks/copa.jsonl"]', "eval.max_tokens=-3"], "max_tokens"),
         ("train", ["trainer.peak_lr=-1"], "peak_lr"),
         ("train", ["trainer.aux_coeff=-5"], "aux_coeff"),
         ("data-filter", ["data.lr=-2"], "lr"),
         ("data-filter", ["data.epochs=0"], "epochs"),
     ],
-    ids=["quoted-mesh", "quoted-hours", "quoted-steps", "max-tokens", "peak-lr", "aux-coeff", "lr", "epochs"],
+    ids=["quoted-mesh", "quoted-hours", "quoted-steps", "max-tokens", "max-tokens-choice-only", "peak-lr", "aux-coeff", "lr", "epochs"],
 )
 def test_quoted_or_out_of_range_number_is_config_error(tmp_path, workspace, capsys, command, pairs, key):
     args = _command_args(command, workspace, tmp_path)
     for pair in pairs:
-        args += ["--set", pair]
+        args += ["--set", pair.replace("{workspace}", str(workspace))]
     assert main(args) == 3
     assert key in capsys.readouterr().err
     assert not [p for p in tmp_path.iterdir() if p.suffix in (".json", ".jsonl", ".csv")]
@@ -238,8 +239,8 @@ def test_bad_document_record_is_data_error(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("text", 5), ("text", ["x"]), ("quality_score", True), ("quality_score", "0.5")],
-    ids=["int-text", "list-text", "boolean-score", "string-score"],
+    [("text", 5), ("text", ["x"]), ("quality_score", True), ("quality_score", "0.5"), ("id", 5)],
+    ids=["int-text", "list-text", "boolean-score", "string-score", "int-id"],
 )
 def test_bad_document_field_type_is_data_error(tmp_path, capsys, field, value):
     record = {"id": "x", "source": "books", "text": "hi", field: value}

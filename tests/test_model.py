@@ -181,6 +181,20 @@ def test_relative_buckets_depend_only_on_offset():
     assert relative_buckets(300, 8).max() == 7
 
 
+def test_relative_buckets_pinned_table():
+    assert relative_buckets(5, 4).tolist() == [
+        [0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+        [2, 1, 0, 0, 0],
+        [2, 2, 1, 0, 0],
+        [2, 2, 2, 1, 0],
+    ]
+    # four exact offsets, then log-spaced buckets 4..7 from distances 4, 10, 23 and 54
+    first_column = [0, 1, 2, 3] + [4] * 6 + [5] * 13 + [6] * 31 + [7] * 6
+    buckets = relative_buckets(60, 8)
+    assert buckets.dtype == np.intp and buckets[:, 0].tolist() == first_column
+
+
 def test_attention_bias_grad_check():
     rng = np.random.default_rng(7)
     q = Tensor(rng.normal(size=(2, 4, 3)))

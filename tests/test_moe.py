@@ -45,7 +45,7 @@ def _gate_for_logits(logits):
 
 
 def test_gate_top2_frozen_example():
-    idx, weights, keep = route(_gate_probs([1.0], _gate_for_logits([2.0, 1.0, 0.0, -1.0])), 2)
+    idx, weights, keep, _ = route(_gate_probs([1.0], _gate_for_logits([2.0, 1.0, 0.0, -1.0])), 2)
     assert idx.tolist() == [[0, 1]]
     assert keep.tolist() == [[True, True]]
     e = np.exp([2.0, 1.0, 0.0, -1.0])
@@ -57,7 +57,7 @@ def test_gate_top2_frozen_example():
 
 
 def test_gate_top2_tie_breaks_to_lower_index():
-    idx, weights, _ = route(_gate_probs([1.0], _gate_for_logits([0.5, 0.5, 0.5])), 2)
+    idx, weights, _, _ = route(_gate_probs([1.0], _gate_for_logits([0.5, 0.5, 0.5])), 2)
     assert idx.tolist() == [[0, 1]]
     assert abs(weights.data[0, 0] - 0.5) < 1e-12
     assert abs(weights.data[0, 1] - 0.5) < 1e-12
@@ -66,7 +66,7 @@ def test_gate_top2_tie_breaks_to_lower_index():
 def test_gate_top2_single_expert():
     probs = _gate_probs([1.0, 2.0], np.array([[0.3], [0.4]]))
     assert probs.shape == (1, 1)
-    idx, weights, keep = route(probs, 2)
+    idx, weights, keep, _ = route(probs, 2)
     assert idx.tolist() == [[0, 0]]
     assert weights.data.tolist() == [[1.0, 0.0]]
     assert keep.tolist() == [[True, False]]
@@ -76,7 +76,7 @@ def test_gate_top2_ordering_and_distinctness():
     rng = np.random.default_rng(0)
     for _ in range(50):
         probs = _gate_probs(rng.normal(size=4), rng.normal(size=(4, 6)))
-        idx, weights, _ = route(probs, 2)
+        idx, weights, _, _ = route(probs, 2)
         i0, i1 = idx[0]
         w0, w1 = weights.data[0]
         assert i0 != i1
@@ -177,7 +177,7 @@ def test_capacity_one_drops_all_but_first_per_expert():
 
     # Forcing capacity 1 keeps one assignment per expert.
     probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4]])
-    idx, _, keep = route(Tensor(probs), capacity=1)
+    idx, _, keep, _ = route(Tensor(probs), capacity=1)
     for e in range(2):
         assigned = (idx == e).sum()
         kept = keep[idx == e].sum()
@@ -201,7 +201,7 @@ def test_partial_drop_is_not_renormalized():
     assert np.allclose(out.data[0], want0)
 
     # squeezing capacity to 1 leaves the second token with neither expert
-    _, _, keep = route(Tensor(np.tile(probs, (2, 1))), capacity=1)
+    _, _, keep, _ = route(Tensor(np.tile(probs, (2, 1))), capacity=1)
     assert keep.tolist() == [[True, True], [False, False]]
 
 
@@ -222,7 +222,7 @@ def test_token_losing_both_slots_passes_through():
 
     # identical tokens all queue on the same two experts; at capacity 2,
     # tokens 2.. lose both slots
-    _, _, keep = route(Tensor(np.tile([0.9, 0.1], (n_tokens, 1))), capacity=2)
+    _, _, keep, _ = route(Tensor(np.tile([0.9, 0.1], (n_tokens, 1))), capacity=2)
     assert (~keep.any(axis=1)).sum() == n_tokens - 2
 
 
@@ -372,16 +372,26 @@ def _routing_case(draw):
 @given(_routing_case())
 def test_route_never_exceeds_capacity(case):
     probs, capacity = case
-    idx, _, keep = route(Tensor(probs), capacity)
+    idx, _, keep, _ = route(Tensor(probs), capacity)
     for e in range(probs.shape[1]):
         assert ((idx == e) & keep).sum() <= capacity
 
 
 @settings(deadline=None)
 @given(_routing_case())
+def test_route_slots_number_each_expert_queue_of_kept_assignments(case):
+    probs, capacity = case
+    idx, _, keep, slot = route(Tensor(probs), capacity)
+    for e in range(probs.shape[1]):
+        mine = (idx == e) & keep  # row-major order is the (token, slot) queue order
+        assert slot[mine].tolist() == list(range(mine.sum()))
+
+
+@settings(deadline=None)
+@given(_routing_case())
 def test_route_kept_weights_are_a_sub_distribution(case):
     probs, capacity = case
-    _, weights, keep = route(Tensor(probs), capacity)
+    _, weights, keep, _ = route(Tensor(probs), capacity)
     kept = np.where(keep, weights.data, 0.0)
     assert kept.min() >= 0.0 and kept.max() <= 1.0
     assert np.all(kept.sum(axis=1) <= 1.0 + 1e-12)
@@ -391,8 +401,8 @@ def test_route_kept_weights_are_a_sub_distribution(case):
 @given(_routing_case(), st.integers(1, 8))
 def test_route_drops_no_more_tokens_as_capacity_grows(case, extra):
     probs, capacity = case
-    _, _, small = route(Tensor(probs), capacity)
-    _, _, large = route(Tensor(probs), capacity + extra)
+    _, _, small, _ = route(Tensor(probs), capacity)
+    _, _, large, _ = route(Tensor(probs), capacity + extra)
     assert (~large.any(axis=1)).sum() <= (~small.any(axis=1)).sum()
 
 
@@ -406,8 +416,8 @@ def test_route_keep_depends_only_on_earlier_tokens(case, data):
         hnp.arrays(np.float64, (n_tokens - cut, n_experts), elements=st.floats(0.01, 1.0))
     )
     changed = np.concatenate([probs[:cut], suffix / suffix.sum(axis=-1, keepdims=True)])
-    idx, _, keep = route(Tensor(probs), capacity)
-    idx_changed, _, keep_changed = route(Tensor(changed), capacity)
+    idx, _, keep, _ = route(Tensor(probs), capacity)
+    idx_changed, _, keep_changed, _ = route(Tensor(changed), capacity)
     assert np.array_equal(idx[:cut], idx_changed[:cut])
     assert np.array_equal(keep[:cut], keep_changed[:cut])
 
@@ -426,5 +436,75 @@ def test_moe_forward_totals_agree_with_route(n_tokens, n_experts, capacity_facto
     _, stats = moe_forward(tokens, [IdentityExpert()] * n_experts, gate, capacity_factor)
     assert stats.tokens_per_expert.sum() == n_tokens
     probs = softmax(matmul(tokens, gate), axis=-1)
-    _, _, keep = route(probs, expert_capacity(n_tokens, n_experts, capacity_factor))
+    _, _, keep, _ = route(probs, expert_capacity(n_tokens, n_experts, capacity_factor))
     assert stats.dropped_tokens == (~keep.any(axis=1)).sum()
+
+
+# ------------------------------------------------ capacity-buffer dispatch
+
+
+class RowCountingExpert:
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, x):
+        self.rows.append(x.shape[0])
+        return x * 2.0
+
+
+@pytest.mark.parametrize(
+    "n_tokens, n_experts, capacity_factor",
+    [(64, 32, 1.25), (64, 4, 1.0), (10, 2, 1.25), (7, 1, 1.0), (6, 8, 1.0), (3, 8, 1.0), (1, 4, 1.0)],
+)
+def test_each_expert_runs_once_on_its_capacity_buffer(n_tokens, n_experts, capacity_factor):
+    rng = np.random.default_rng(n_tokens + n_experts)
+    experts = [RowCountingExpert() for _ in range(n_experts)]
+    tokens = Tensor(rng.normal(size=(n_tokens, 3)))
+    moe_forward(tokens, experts, Tensor(rng.normal(size=(3, n_experts))), capacity_factor)
+    capacity = expert_capacity(n_tokens, n_experts, capacity_factor)
+    rows = min(max(capacity, 2), n_tokens)  # a buffer never has one row unless T is 1
+    assert [e.rows for e in experts] == [[rows]] * n_experts
+
+
+def _mask_combine(tokens, experts, gate_weights, capacity_factor):
+    """Reference combine: every expert runs over all T tokens, and each token's
+    weight for that expert (zero where unselected or dropped) scales its output."""
+    n_tokens, n_experts = tokens.shape[0], len(experts)
+    probs = softmax(matmul(tokens, gate_weights), axis=-1)
+    idx, weights, keep, _ = route(probs, expert_capacity(n_tokens, n_experts, capacity_factor))
+    terms = []
+    for e in range(n_experts):
+        mask = ((idx == e) & keep).astype(np.float64)
+        if mask.any():
+            terms.append(experts[e](tokens) * (weights * mask).sum(axis=-1, keepdims=True))
+    kept_any = keep.any(axis=1)
+    if not kept_any.all():
+        terms.append(tokens * (~kept_any).astype(np.float64)[:, None])
+    return sum(terms[1:], terms[0])
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 8),
+    st.floats(1.0, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_moe_forward_equals_mask_combine(n_tokens, n_experts, capacity_factor, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n_tokens, 4)), rng.normal(scale=2.0, size=(4, n_experts))]
+    arrays += [rng.normal(size=shape) for _ in range(n_experts) for shape in ((4, 6), (6, 4))]
+
+    def run(combine):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        tokens, gate, *w = leaves
+        experts = [ExpertFFN(w[2 * e], w[2 * e + 1]) for e in range(n_experts)]
+        out = combine(tokens, experts, gate, capacity_factor)
+        (out * out).sum().backward()
+        return out.data, [np.zeros_like(a) if t.grad is None else t.grad for t, a in zip(leaves, arrays)]
+
+    out, grads = run(lambda *args: moe_forward(*args)[0])
+    want, want_grads = run(_mask_combine)
+    assert np.array_equal(out, want)
+    for got, expected in zip(grads, want_grads):
+        assert np.max(np.abs(got - expected)) <= 1e-12

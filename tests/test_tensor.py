@@ -146,6 +146,20 @@ def test_grad_check_gather_scatter_ops():
     idx = np.array([[0, 0], [3, 1], [4, 2], [2, 2]])
     assert grad_check(lambda t: (T.take_along_last(t, idx) ** 2.0).sum(), probs) < 1e-6
 
+    head, tail = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(3, 3)))
+    weights = rng.normal(size=(5, 3))
+    assert grad_check(lambda t: (T.concat([t, tail]) ** 2.0 * weights).sum(), head) < 1e-6
+    assert grad_check(lambda t: (T.concat([head, t, t]) ** 3.0).sum(), tail) < 1e-6
+
+
+def test_concat_stacks_rows_and_checks_trailing_shapes():
+    out = T.concat([Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]])])
+    assert out.data.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    with pytest.raises(T.ShapeError):
+        T.concat([Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3)))])
+    with pytest.raises(T.ShapeError):
+        T.concat([])
+
 
 def test_cross_entropy_grad_check():
     logits = Tensor(np.random.default_rng(8).normal(size=(3, 4, 5)))
