@@ -28,7 +28,7 @@ import numpy as np
 
 from . import shardplan
 from .checkpoint import CheckpointFormatError, load_checkpoint, restore_params
-from .configs import PRESETS
+from .configs import preset
 from .contamination import build_ngram_index, report_table
 from .costs import co2_estimate, energy_estimate
 from .data import (
@@ -164,9 +164,7 @@ def model_config_from(config: dict) -> ModelConfig:
     section = dict(config.get("model", {}))
     name = section.pop("preset", None)
     if name is not None:
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-        merged = dataclasses.asdict(PRESETS[name])
+        merged = dataclasses.asdict(preset(name))
         merged.update(section)
         section = merged
     if not section:

@@ -9,6 +9,7 @@ desk (use small custom configs for that).
 from __future__ import annotations
 
 from .model import ModelConfig
+from .moe import ConfigError
 
 __all__ = ["PRESETS", "preset"]
 
@@ -46,7 +47,7 @@ PRESETS: dict[str, ModelConfig] = {
 
 
 def preset(name: str) -> ModelConfig:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown preset {name!r}; known presets: {known}")
+        raise ConfigError(f"unknown preset {name!r}; known presets: {known}")
     return PRESETS[name]

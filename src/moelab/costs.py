@@ -17,15 +17,15 @@ def energy_estimate(chips: int, watts_per_chip: float, hours: float, pue: float)
     `pue` is the datacenter power usage effectiveness (total facility power
     over IT power), so it must be at least 1.
     """
-    if chips < 0 or watts_per_chip < 0 or hours < 0:
+    if not (chips >= 0 and watts_per_chip >= 0 and hours >= 0):
         raise ConfigError("chips, watts_per_chip, and hours must be nonnegative")
-    if pue < 1.0:
+    if not pue >= 1.0:
         raise ConfigError(f"pue must be >= 1, got {pue}")
     return chips * watts_per_chip * hours * pue / 1e6
 
 
 def co2_estimate(mwh: float, tco2e_per_mwh: float = 0.088) -> float:
     """Net tCO2e for `mwh` of energy at the given grid carbon intensity."""
-    if mwh < 0 or tco2e_per_mwh < 0:
+    if not (mwh >= 0 and tco2e_per_mwh >= 0):
         raise ConfigError("mwh and tco2e_per_mwh must be nonnegative")
     return mwh * tco2e_per_mwh

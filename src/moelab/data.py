@@ -218,9 +218,9 @@ def train_quality_classifier(
 def keep_mask(scores: np.ndarray, alpha: float, rng: np.random.Generator) -> np.ndarray:
     """Keep iff a Lomax(alpha) draw reaches 1 - score: P(keep | s) = (2 - s)^-alpha."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size and (scores.min() < 0 or scores.max() > 1):
+    if scores.size and not (scores.min() >= 0 and scores.max() <= 1):
         raise ConfigError("scores must lie in [0, 1]")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
     draws = (1.0 - rng.random(scores.shape)) ** (-1.0 / alpha) - 1.0
     return draws >= 1.0 - scores

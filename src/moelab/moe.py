@@ -1,9 +1,10 @@
 """Top-2 expert routing with capacity limits and the load-balancing loss.
 
 Every token picks its two highest-probability experts under a learned linear
-gate.  Each expert accepts at most ``capacity`` assignments per batch; an
-assignment that finds its expert full is dropped without renormalizing the
-surviving slot.  A token that loses both slots passes through unchanged.
+gate (its one expert when E=1).  Each expert accepts at most ``capacity``
+assignments per batch; an assignment that finds its expert full is dropped
+without renormalizing the surviving slot.  A token that loses all its slots
+passes through unchanged.
 ``route`` is the only place that states this rule; ``moe_forward`` applies it.
 """
 
@@ -64,7 +65,7 @@ class ExpertFFN:
 
 def expert_capacity(n_tokens: int, n_experts: int, capacity_factor: float = 1.25) -> int:
     """ceil(capacity_factor * 2 * T / E): room for both slots at perfect balance."""
-    if capacity_factor < 1.0:
+    if not capacity_factor >= 1.0:
         raise ConfigError(f"capacity_factor must be >= 1, got {capacity_factor}")
     if n_tokens < 1 or n_experts < 1:
         raise ConfigError(f"need positive token and expert counts, got {n_tokens}, {n_experts}")
@@ -72,39 +73,32 @@ def expert_capacity(n_tokens: int, n_experts: int, capacity_factor: float = 1.25
 
 
 def route(probs: Tensor, capacity: int) -> tuple[np.ndarray, Tensor, np.ndarray, np.ndarray]:
-    """Top-2 routing of [T, E] gate probabilities under a per-expert capacity.
+    """Top-min(2, E) routing of [T, E] gate probabilities under a per-expert capacity.
 
-    Returns ``idx`` [T, 2], each token's two most probable experts (ties to
-    the lower index); ``weights`` [T, 2], their probabilities renormalized to
-    sum to one; ``keep`` [T, 2], the assignments that fit under ``capacity``,
-    consumed in (token, slot) order: earlier tokens first, and a token's first
-    slot ahead of its second; and ``slot`` [T, 2], the kept assignments ahead
-    of each in its expert's queue (its buffer row).  A single-expert gate
-    routes both slots to expert 0, weights (1, 0), and never keeps slot two.
+    Returns ``idx`` [T, K], K = min(2, E), each token's K most probable experts
+    by two argmax passes (ties to the lower index); ``weights`` [T, K], their
+    probabilities renormalized to sum to one (exactly 1.0 at E=1); ``slot``
+    [T, K], each assignment's position in its expert's queue, which is served
+    in (token, slot) order: earlier tokens first, and a token's first slot
+    ahead of its second; and ``keep`` [T, K], ``slot < capacity``.  A kept
+    assignment's slot is its buffer row.
     """
     n_experts = probs.shape[-1]
-    if n_experts == 1:
-        idx = np.zeros((probs.shape[0], 2), dtype=np.intp)
-        weights = take_along_last(probs, idx) * np.array([[1.0, 0.0]])
-    else:
-        idx = np.argsort(-probs.data, axis=-1, kind="stable")[:, :2]
-        raw = take_along_last(probs, idx)
-        weights = raw / raw.sum(axis=-1, keepdims=True)
+    first = probs.data.argmax(axis=-1)
+    rest = probs.data.copy()
+    rest[np.arange(first.size), first] = -np.inf
+    idx = np.stack([first, rest.argmax(axis=-1)], axis=1)[:, : min(2, n_experts)]
+    raw = take_along_last(probs, idx)
+    weights = raw / raw.sum(axis=-1, keepdims=True)
 
     flat = idx.reshape(-1)
     order = np.argsort(flat, kind="stable")
     sorted_e = flat[order]
     starts = np.searchsorted(sorted_e, np.arange(n_experts), side="left")
-    keep = np.empty(flat.size, dtype=bool)
-    keep[order] = np.arange(flat.size) - starts[sorted_e] < capacity
-    keep = keep.reshape(idx.shape)
-    if n_experts == 1:
-        keep[:, 1] = False
-    kept_sorted = keep.reshape(-1)[order]
-    ahead = np.cumsum(kept_sorted) - kept_sorted  # kept assignments earlier in sorted order
     slot = np.empty(flat.size, dtype=np.intp)
-    slot[order] = ahead - ahead[starts[sorted_e]]
-    return idx, weights, keep, slot.reshape(idx.shape)
+    slot[order] = np.arange(flat.size) - starts[sorted_e]
+    slot = slot.reshape(idx.shape)
+    return idx, weights, slot < capacity, slot
 
 
 def moe_forward(
@@ -113,12 +107,13 @@ def moe_forward(
     gate_weights: Tensor,
     capacity_factor: float = 1.25,
 ) -> tuple[Tensor, DispatchStats]:
-    """Dispatch a [T, M] batch of token activations through top-2 routing.
+    """Dispatch a [T, M] batch of token activations through ``route``.
 
-    Returns the combined expert outputs and routing statistics.  Tokens whose
-    surviving slots were all dropped pass through unchanged; tokens that kept
-    one slot contribute that slot's weighted output alone (no renormalization
-    after a capacity drop).
+    Returns the combined expert outputs and routing statistics.  Each token
+    holds min(2, E) assignments, the columns of ``route``'s ``idx``.  Tokens
+    whose slots were all dropped pass through unchanged; tokens that kept one
+    of two slots contribute that slot's weighted output alone (no
+    renormalization after a capacity drop).
 
     Each expert runs once on a [C, M] buffer, C = min(max(capacity, 2), T):
     its kept tokens in slot order, then padding rows that are never combined.
@@ -146,7 +141,7 @@ def moe_forward(
     source[idx[keep], slot[keep]] = np.nonzero(keep)[0]
     outputs = concat([expert(embedding(tokens, source[e])) for e, expert in enumerate(experts)])
     picked = embedding(outputs, np.where(keep, idx * rows + slot, 0))
-    out = (picked * (weights * keep).reshape((n_tokens, 2, 1))).sum(axis=1)
+    out = (picked * (weights * keep).reshape(idx.shape + (1,))).sum(axis=1)
     kept_any = keep.any(axis=1)
     if not kept_any.all():
         out = out + tokens * (~kept_any).astype(np.float64)[:, None]

@@ -95,8 +95,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g  # a copy in data's memory layout, not an alias of g
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar.  Accumulates into ``grad``."""

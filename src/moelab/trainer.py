@@ -209,7 +209,7 @@ class CheckpointManager:
     ):
         if interval < 1:
             raise ConfigError(f"checkpoint interval must be >= 1, got {interval}")
-        if divergence_threshold <= 1.0:
+        if not divergence_threshold > 1.0:
             raise ConfigError(f"divergence threshold must exceed 1, got {divergence_threshold}")
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)

@@ -342,6 +342,12 @@ def test_unknown_preset_is_config_error(tmp_path):
     assert main(["params", "--set", "model.preset=huge", "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("name", ["[1]", '{"a": 1}', "5", "true"], ids=["list", "object", "number", "boolean"])
+def test_non_string_preset_is_config_error(tmp_path, capsys, name):
+    assert main(["params", "--set", f"model.preset={name}", "--out", str(tmp_path)]) == 3
+    assert "unknown preset" in capsys.readouterr().err
+
+
 def test_missing_model_section_is_config_error(tmp_path):
     assert main(["params", "--out", str(tmp_path)]) == 3
 

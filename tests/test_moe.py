@@ -67,9 +67,9 @@ def test_gate_top2_single_expert():
     probs = _gate_probs([1.0, 2.0], np.array([[0.3], [0.4]]))
     assert probs.shape == (1, 1)
     idx, weights, keep, _ = route(probs, 2)
-    assert idx.tolist() == [[0, 0]]
-    assert weights.data.tolist() == [[1.0, 0.0]]
-    assert keep.tolist() == [[True, False]]
+    assert idx.tolist() == [[0]]
+    assert weights.data.tolist() == [[1.0]]
+    assert keep.tolist() == [[True]]
 
 
 def test_gate_top2_ordering_and_distinctness():
@@ -357,12 +357,13 @@ def test_moe_forward_consistent_with_gate_top2():
 
 
 @st.composite
-def _routing_case(draw):
+def _routing_case(draw, max_experts=6, scales=(1.0,)):
     """Gate probabilities [T, E] (E may be 1) and a capacity; logits tie often."""
     n_tokens = draw(st.integers(1, 24))
-    n_experts = draw(st.integers(1, 6))
+    n_experts = draw(st.integers(1, max_experts))
+    scale = draw(st.sampled_from(scales))
     logit = st.one_of(st.integers(-3, 3).map(float), st.floats(-6.0, 6.0))
-    logits = draw(hnp.arrays(np.float64, (n_tokens, n_experts), elements=logit))
+    logits = scale * draw(hnp.arrays(np.float64, (n_tokens, n_experts), elements=logit))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     capacity = draw(st.integers(1, 2 * n_tokens + 1))
     return e / e.sum(axis=-1, keepdims=True), capacity
@@ -404,6 +405,43 @@ def test_route_drops_no_more_tokens_as_capacity_grows(case, extra):
     _, _, small, _ = route(Tensor(probs), capacity)
     _, _, large, _ = route(Tensor(probs), capacity + extra)
     assert (~large.any(axis=1)).sum() <= (~small.any(axis=1)).sum()
+
+
+def _argsort_route(probs, capacity):
+    """Reference rule: sort each whole gate row, take two, and count kept
+    assignments ahead of each in its expert's queue (E >= 2 only)."""
+    n_experts = probs.shape[-1]
+    idx = np.argsort(-probs, axis=-1, kind="stable")[:, :2]
+    raw = np.take_along_axis(probs, idx, axis=-1)
+    weights = raw / raw.sum(axis=-1, keepdims=True)
+    flat = idx.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    sorted_e = flat[order]
+    starts = np.searchsorted(sorted_e, np.arange(n_experts), side="left")
+    keep = np.empty(flat.size, dtype=bool)
+    keep[order] = np.arange(flat.size) - starts[sorted_e] < capacity
+    kept_sorted = keep[order]
+    ahead = np.cumsum(kept_sorted) - kept_sorted
+    slot = np.empty(flat.size, dtype=np.intp)
+    slot[order] = ahead - ahead[starts[sorted_e]]
+    return idx, weights, keep.reshape(idx.shape), slot.reshape(idx.shape)
+
+
+@settings(deadline=None)
+@given(_routing_case(max_experts=40, scales=(1.0, 30.0, 800.0)))
+def test_route_equals_the_argsort_rule(case):
+    probs, capacity = case
+    idx, weights, keep, slot = route(Tensor(probs), capacity)
+    if probs.shape[1] == 1:
+        assert idx.shape == (probs.shape[0], 1) and not idx.any()
+        assert np.all(weights.data == 1.0)
+        assert np.array_equal(keep[:, 0], np.arange(probs.shape[0]) < capacity)
+        return
+    want_idx, want_weights, want_keep, want_slot = _argsort_route(probs, capacity)
+    assert np.array_equal(idx, want_idx)
+    assert weights.data.tobytes() == want_weights.tobytes()
+    assert np.array_equal(keep, want_keep)
+    assert np.array_equal(slot[keep], want_slot[want_keep])
 
 
 @settings(deadline=None)

@@ -12,8 +12,10 @@ from moelab.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from moelab.costs import co2_estimate, energy_estimate
+from moelab.data import keep_mask
 from moelab.model import ModelConfig, build
-from moelab.moe import ConfigError
+from moelab.moe import ConfigError, expert_capacity
 from moelab.tensor import Tensor
 from moelab.trainer import (
     AdafactorState,
@@ -396,3 +398,24 @@ def test_train_recovers_from_injected_nan(tmp_path):
 def test_train_rejects_bad_step_count():
     with pytest.raises(ConfigError):
         train(build(tiny_config(), seed=0), _repeat_source(), steps=0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp: keep_mask(np.array([0.5]), NAN, np.random.default_rng(0)),
+        lambda tmp: keep_mask(np.array([0.5, NAN]), 2.0, np.random.default_rng(0)),
+        lambda tmp: expert_capacity(10, 4, NAN),
+        lambda tmp: CheckpointManager(tmp, divergence_threshold=NAN),
+        lambda tmp: energy_estimate(8, 300.0, 10.0, pue=NAN),
+        lambda tmp: energy_estimate(8, NAN, 10.0, pue=1.1),
+        lambda tmp: co2_estimate(NAN),
+    ],
+    ids=["keep-alpha", "keep-score", "capacity-factor", "divergence-threshold", "pue", "watts", "co2-mwh"],
+)
+def test_nan_library_setting_is_config_error(tmp_path, call):
+    with pytest.raises(ConfigError):
+        call(tmp_path)
