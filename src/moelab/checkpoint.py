@@ -5,12 +5,15 @@ UTF-8 JSON header (model config, metadata, array directory), then each
 array's raw bytes in directory order.  Floats are little-endian float64 and
 the array bytes are written verbatim, so a save/load round trip is bit-exact.
 No timestamps or other ambient state are recorded: identical inputs produce
-identical files.
+identical files.  A save writes ``<path>.partial``, syncs it to disk and then
+renames it over ``path``, so a failed or interrupted save leaves the previous
+file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -80,12 +83,20 @@ def save_checkpoint(
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_FIXED.pack(_VERSION, len(blob)))
-        fh.write(blob)
-        for _, arr in arrays:
-            fh.write(arr.tobytes())
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(_FIXED.pack(_VERSION, len(blob)))
+            fh.write(blob)
+            for _, arr in arrays:
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _check_header(header) -> None:

@@ -430,9 +430,7 @@ def cmd_data_mix(config: dict, out_dir: Path, seed: int) -> Report:
 def cmd_train(config: dict, out_dir: Path, seed: int) -> Report:
     cfg = model_config_from(config)
     section = _section(config, "trainer")
-    steps = _num(section, "steps", 0, int)
-    if steps < 1:
-        raise ConfigError("trainer config needs steps >= 1")
+    steps = _num(section, "steps", cast=int)
     data_cfg = _section(config, "data")
     docs = _load_docs(_path(data_cfg, "corpus", "training corpus"))
     source = batches_from_documents(docs, cfg.seq_len, cfg.batch_size)
@@ -458,8 +456,6 @@ def cmd_train(config: dict, out_dir: Path, seed: int) -> Report:
         log_path=out_dir / "train_log.jsonl",
     )
     losses = [e.loss for e in entries if not e.skipped]
-    if not losses:
-        raise DataError("every training step was skipped (non-finite gradients)")
     recent = losses[-10:]
     payload = {
         "steps": len(entries),

@@ -109,6 +109,8 @@ class Task:
     shots: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"task name must be a non-empty string, got {self.name!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown task kind {self.kind!r}")
         if self.normalization not in NORMALIZATIONS:
@@ -205,13 +207,11 @@ def classify(
     scorer: SequenceScorer,
     task: Task,
     example: Mapping,
-    shots: int | None = None,
     seed: int = 0,
 ) -> int:
     """Predicted option index: argmax option score, ties to the lowest index."""
-    shots = task.shots if shots is None else shots
     demos = [format_demonstration(e, task.kind) for e in task.train_examples]
-    prompt = build_prompt(demos, example["context"], shots, seed)
+    prompt = build_prompt(demos, example["context"], task.shots, seed)
     context_ids = tokenize(prompt)
     scores = [
         score_option(scorer, context_ids, tokenize(option), task.normalization)

@@ -269,7 +269,16 @@ def count_params(config: ModelConfig) -> tuple[int, int]:
 
 
 def flops_per_token(config: ModelConfig) -> float:
-    """Approximate GFLOPs per token: 2 * activated parameters / 1e9."""
+    """GFLOPs per token as 2 * activated parameters / 1e9.
+
+    Counts one multiply-add for each parameter of ``count_params``'s activated
+    count: attention projections, norm scales, relative-bias tables, dense
+    GEGLU matrices, each MoE gate and two experts per MoE layer (one at E=1).
+    Not counted: the embedding lookup and the tied-embedding logit product,
+    the attention-score and weighted-sum products, which grow with sequence
+    length, and the capacity buffers' padding rows (each expert runs on all C
+    rows of its buffer, E * C / T rows per token against the 2 counted here).
+    """
     return 2.0 * count_params(config)[1] / 1e9
 
 

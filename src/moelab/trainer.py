@@ -219,21 +219,21 @@ class CheckpointManager:
         self.last_path: Path | None = None
         self.rollbacks = 0
 
-    def save(self, model: TransformerLM, state: AdafactorState, data_seed: int, step: int) -> Path:
+    def save(self, model: TransformerLM, state: AdafactorState, data_seed: int) -> Path:
         path = self.out_dir / "checkpoint_last.ckpt"
         save_checkpoint(
             path,
             model.config,
             model.params(),
             opt_arrays=state.arrays(),
-            meta={"step": step, "data_seed": data_seed},
+            meta={"step": state.step, "data_seed": data_seed},
         )
         self.last_path = path
         return path
 
     def observe(self, loss: float) -> bool:
         """Record a loss; True means the run has diverged and needs rollback."""
-        if math.isnan(loss) or math.isinf(loss):
+        if not math.isfinite(loss):
             return self.last_path is not None
         diverged = False
         if self.history:
@@ -242,8 +242,8 @@ class CheckpointManager:
             self.history.append(loss)
         return diverged and self.last_path is not None
 
-    def rollback(self, model: TransformerLM, state: AdafactorState) -> tuple[AdafactorState, int]:
-        """Restore the last checkpoint in place; returns (state, saved data seed)."""
+    def rollback(self, model: TransformerLM, state: AdafactorState) -> int:
+        """Restore the last checkpoint into ``model`` and ``state``; returns its data seed."""
         if self.last_path is None:
             raise ConfigError("no checkpoint available to roll back to")
         snap = load_checkpoint(self.last_path)
@@ -253,7 +253,7 @@ class CheckpointManager:
         state.accum = restored.accum
         self.rollbacks += 1
         self.history.clear()
-        return state, int(snap.meta["data_seed"])
+        return int(snap.meta["data_seed"])
 
 
 BatchSource = Callable[[int], Iterator[np.ndarray]]
@@ -276,6 +276,9 @@ def train(
     ``batch_source`` must return a fresh infinite iterator for a given seed;
     a rollback re-creates it with a new derived seed so the replayed steps see
     a different batch order.  Default warmup is 1% of the run, at least 10.
+    A ``manager`` writes a checkpoint before the first update, after every
+    ``interval``-th and after the last.  If ``10 * steps + 100`` tries (skips
+    and rollbacks count) leave updates undone, ConfigError is raised.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -289,18 +292,18 @@ def train(
     batches = batch_source(data_seed)
     entries: list[TrainLogEntry] = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    # A pathological run that diverges or skips forever must still terminate.
-    budget = 10 * steps + 100
+    tries = 10 * steps + 100  # a run that diverges or skips forever must still end
     try:
         if manager is not None:
-            manager.save(model, state, data_seed, step=0)
-        while state.step < steps and budget > 0:
-            budget -= 1
+            manager.save(model, state, data_seed)
+        while state.step < steps:
+            if len(entries) == tries:
+                raise ConfigError(f"gave up after {tries} tries: {state.step} of {steps} updates done")
             batch = next(batches)
             lr = lr_schedule(state.step + 1, warmup, peak_lr)
             entry = train_step(model, batch, state, lr, aux_coeff)
             if manager is not None and manager.observe(entry.loss):
-                state, old_seed = manager.rollback(model, state)
+                old_seed = manager.rollback(model, state)
                 data_seed = substream_seed(old_seed, f"reshuffle{manager.rollbacks}")
                 batches = batch_source(data_seed)
                 entry.rollback = True
@@ -308,10 +311,9 @@ def train(
             entries.append(entry)
             if log_fh:
                 log_fh.write(entry.to_json() + "\n")
-            if not entry.skipped and manager is not None and state.step % manager.interval == 0:
-                manager.save(model, state, data_seed, step=state.step)
-        if manager is not None:
-            manager.save(model, state, data_seed, step=state.step)
+            if manager is not None and not entry.skipped:
+                if state.step % manager.interval == 0 or state.step == steps:
+                    manager.save(model, state, data_seed)
     finally:
         if log_fh:
             log_fh.close()

@@ -638,14 +638,14 @@ def test_criterion_14_checkpoint_and_rollback_round_trip_bit_exactly(tmp_path):
         assert np.array_equal(arr, state.arrays()[key]), key
 
     manager = CheckpointManager(tmp_path, interval=10)
-    manager.save(model, state, data_seed=9, step=3)
+    manager.save(model, state, data_seed=9)
     saved_checksum = params_checksum(model.params())
     saved_arrays = {k: v.copy() for k, v in state.arrays().items()}
     for _ in range(4):
         train_step(model, rng.integers(0, 16, size=(4, 9)), state, lr=0.05)
     assert params_checksum(model.params()) != saved_checksum
 
-    state, data_seed = manager.rollback(model, state)
+    data_seed = manager.rollback(model, state)
     assert data_seed == 9
     assert params_checksum(model.params()) == saved_checksum
     assert state.step == 3
@@ -656,7 +656,7 @@ def test_criterion_14_checkpoint_and_rollback_round_trip_bit_exactly(tmp_path):
 def test_criterion_14_divergence_trigger_fires_on_a_scripted_spike(tmp_path):
     manager = CheckpointManager(tmp_path, interval=10)
     model = build(_stability_cfg(), seed=144)
-    manager.save(model, AdafactorState(), data_seed=0, step=0)
+    manager.save(model, AdafactorState(), data_seed=0)
     for value in (2.0, 2.1, 1.9, 2.0):
         assert not manager.observe(value)
     assert manager.observe(6.5)  # above 3x the recent median

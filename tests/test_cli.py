@@ -558,6 +558,14 @@ def test_train_different_seed_changes_checkpoint(tmp_path, workspace):
     assert (a / "checkpoint_last.ckpt").read_bytes() != (b / "checkpoint_last.ckpt").read_bytes()
 
 
+def test_train_that_runs_out_of_tries_exits_3(tmp_path, workspace, capsys):
+    args = _train_args(workspace, tmp_path, steps=20)
+    args += ["--set", "trainer.checkpoint_interval=5", "--set", "trainer.peak_lr=100"]
+    assert main(args) == 3
+    assert "of 20 updates done" in capsys.readouterr().err
+    assert not (tmp_path / "train_report.json").exists()
+
+
 def test_train_needs_steps(tmp_path, workspace):
     args = ["train", "--out", str(tmp_path)] + _model_args()
     args += ["--set", f"data.corpus={workspace}/corpus.jsonl"]
@@ -679,6 +687,22 @@ def test_task_record_that_is_not_an_object_is_data_error(tmp_path, workspace, ca
     args += ["--set", f"contamination.corpus={workspace}/corpus.jsonl"] + _model_args(seq_len=96)
     assert main(args) == 5
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [["a"], 5, ""], ids=["list", "number", "empty"])
+@pytest.mark.parametrize("command", ["eval", "contamination"])
+def test_task_name_that_is_not_a_string_is_data_error(tmp_path, workspace, capsys, command, name):
+    lines = (workspace / "tasks" / "copa.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["name"] = name
+    task = tmp_path / "copa.jsonl"
+    task.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    key = "tasks" if command == "eval" else "datasets"
+    args = [command, "--out", str(tmp_path), "--set", f"{command}.{key}={json.dumps([str(task)])}"]
+    args += ["--set", f"contamination.corpus={workspace}/corpus.jsonl"] + _model_args(seq_len=96)
+    assert main(args) == 5
+    assert "task name" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 # --------------------------------------------------------------- shard-plan

@@ -1,12 +1,14 @@
 """Optimizer hand traces, checkpoint round trips, divergence rollback."""
 
 import dataclasses
+import errno
 import json
 import math
 
 import numpy as np
 import pytest
 
+from moelab import trainer
 from moelab.checkpoint import (
     CheckpointFormatError,
     load_checkpoint,
@@ -272,13 +274,56 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    config = tiny_config()
+    model = build(config, seed=12)
+    path = tmp_path / "checkpoint_last.ckpt"
+    save_checkpoint(path, config, model.params(), meta={"step": 5})
+    before = path.read_bytes()
+    real_open = open
+    writes = []
+
+    class FullDisk:
+        """A file whose fourth write (the first array) finds the disk full."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 4:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(
+        "moelab.checkpoint.open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False
+    )
+    model.params()["embed"].data += 1.0
+    with pytest.raises(OSError):
+        save_checkpoint(path, config, model.params(), meta={"step": 10})
+    monkeypatch.undo()
+    assert len(writes) == 4
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).meta == {"step": 5}
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint_last.ckpt"]
+
+
 # ------------------------------------------------------- divergence policy
 
 
 def test_observe_flags_loss_above_three_times_median(tmp_path):
     manager = CheckpointManager(tmp_path, interval=10)
     model = build(tiny_config(), seed=0)
-    manager.save(model, AdafactorState(), data_seed=7, step=0)
+    manager.save(model, AdafactorState(), data_seed=7)
     assert not manager.observe(2.0)
     assert not manager.observe(2.0)
     assert not manager.observe(2.0)
@@ -289,7 +334,7 @@ def test_observe_flags_loss_above_three_times_median(tmp_path):
 def test_observe_flags_nan_and_inf(tmp_path):
     manager = CheckpointManager(tmp_path, interval=10)
     model = build(tiny_config(), seed=0)
-    manager.save(model, AdafactorState(), data_seed=7, step=0)
+    manager.save(model, AdafactorState(), data_seed=7)
     assert manager.observe(float("nan"))
     assert manager.observe(float("inf"))
 
@@ -307,7 +352,7 @@ def test_rollback_restores_params_and_state_bitwise(tmp_path):
     for _ in range(3):
         train_step(model, tiny_batch(rng), state, lr=0.01)
     manager = CheckpointManager(tmp_path, interval=10)
-    manager.save(model, state, data_seed=123, step=3)
+    manager.save(model, state, data_seed=123)
     saved_checksum = params_checksum(model.params())
     saved_arrays = {k: v.copy() for k, v in state.arrays().items()}
 
@@ -315,7 +360,7 @@ def test_rollback_restores_params_and_state_bitwise(tmp_path):
         train_step(model, tiny_batch(rng), state, lr=0.05)
     assert params_checksum(model.params()) != saved_checksum
 
-    state, seed = manager.rollback(model, state)
+    seed = manager.rollback(model, state)
     assert seed == 123
     assert manager.rollbacks == 1
     assert params_checksum(model.params()) == saved_checksum
@@ -393,6 +438,30 @@ def test_train_recovers_from_injected_nan(tmp_path):
     # the rolled-back entry reset progress to the step-0 checkpoint
     final = load_checkpoint(manager.last_path)
     assert final.meta["step"] == 10
+
+
+@pytest.mark.parametrize("steps, written", [(10, [0, 5, 10]), (12, [0, 5, 10, 12])])
+def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch, steps, written):
+    seen = []
+
+    def counting_save(path, config, params, opt_arrays=None, meta=None):
+        seen.append(meta["step"])
+        save_checkpoint(path, config, params, opt_arrays=opt_arrays, meta=meta)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counting_save)
+    manager = CheckpointManager(tmp_path, interval=5)
+    train(build(tiny_config(), seed=8), _repeat_source(), steps=steps, seed=1, warmup_steps=5, manager=manager)
+    assert manager.rollbacks == 0
+    assert seen == written
+
+
+def test_train_raises_when_its_tries_run_out(tmp_path):
+    # at this learning rate every update diverges and is rolled back to step 0
+    manager = CheckpointManager(tmp_path, interval=5)
+    with pytest.raises(ConfigError, match="0 of 20 updates"):
+        train(build(tiny_config(), seed=8), _repeat_source(), steps=20, seed=1, peak_lr=100, manager=manager)
+    assert manager.rollbacks == 150
+    assert load_checkpoint(manager.last_path).meta["step"] == 0
 
 
 def test_train_rejects_bad_step_count():
