@@ -1,9 +1,11 @@
 """Versioned binary checkpoint container.
 
-Layout: an 8-byte magic, a uint32 format version, a uint64 length-prefixed
-UTF-8 JSON header (model config, metadata, array directory), then each
-array's raw bytes in directory order.  Floats are little-endian float64 and
-the array bytes are written verbatim, so a save/load round trip is bit-exact.
+Layout (format 2): an 8-byte magic, a uint32 format version, a uint64
+length-prefixed UTF-8 JSON header (model config, metadata, array directory
+and the sha256 of the array payload), then each array's raw bytes in
+directory order.  Floats are little-endian float64 and the array bytes are
+written verbatim, so a save/load round trip is bit-exact; a load whose
+payload does not hash to the header's digest is refused.
 No timestamps or other ambient state are recorded: identical inputs produce
 identical files.  A save writes ``<path>.partial``, syncs it to disk and then
 renames it over ``path``, so a failed or interrupted save leaves the previous
@@ -12,6 +14,7 @@ file as it was.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -34,7 +37,7 @@ __all__ = [
 ]
 
 _MAGIC = b"MOELABCK"
-_VERSION = 1
+_VERSION = 2  # 2: stacked expert weights and a payload digest
 _FIXED = struct.Struct("<IQ")  # format version, header length
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
@@ -74,6 +77,9 @@ def save_checkpoint(
     for name in sorted(opt_arrays or {}):
         arrays.append((f"opt/{name}", _as_array((opt_arrays or {})[name])))
 
+    digest = hashlib.sha256()
+    for _, arr in arrays:
+        digest.update(arr)
     header = {
         "config": asdict(config),
         "meta": dict(meta or {}),
@@ -81,6 +87,7 @@ def save_checkpoint(
             {"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
             for name, arr in arrays
         ],
+        "payload_sha256": digest.hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     partial = Path(f"{path}.partial")
@@ -100,9 +107,11 @@ def save_checkpoint(
 
 
 def _check_header(header) -> None:
-    """An object with ``config`` and ``meta`` objects and an ``arrays`` directory."""
+    """An object with ``config`` and ``meta`` objects, an ``arrays`` directory and a digest."""
     if not isinstance(header, dict):
         raise CheckpointFormatError(f"checkpoint header must be an object, got {type(header).__name__}")
+    if not isinstance(header.get("payload_sha256"), str):
+        raise CheckpointFormatError("checkpoint header needs a 'payload_sha256' string")
     for key in ("config", "meta"):
         if not isinstance(header.get(key), dict):
             raise CheckpointFormatError(f"checkpoint header needs a {key!r} object")
@@ -128,7 +137,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointFormatError("truncated checkpoint header")
         version, header_len = _FIXED.unpack(fixed)
         if version != _VERSION:
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+            raise CheckpointFormatError(
+                f"checkpoint format version {version} is not supported; this build reads version {_VERSION}"
+            )
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except ValueError as exc:  # undecodable bytes or malformed JSON
@@ -136,6 +147,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         _check_header(header)
         params: dict[str, np.ndarray] = {}
         opt_arrays: dict[str, np.ndarray] = {}
+        digest = hashlib.sha256()
         for entry in header["arrays"]:
             dtype = _DTYPES.get(entry["dtype"])
             if dtype is None:
@@ -145,6 +157,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raw = fh.read(count * dtype.itemsize)
             if len(raw) != count * dtype.itemsize:
                 raise CheckpointFormatError(f"truncated array {entry['name']}")
+            digest.update(raw)
             arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
             name = entry["name"]
             if name.startswith("param/"):
@@ -153,6 +166,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 opt_arrays[name[len("opt/") :]] = arr
             else:
                 raise CheckpointFormatError(f"unknown array namespace in {name!r}")
+    if digest.hexdigest() != header["payload_sha256"]:
+        raise CheckpointFormatError(f"{path}: array payload does not match the header's sha256")
     try:
         config = ModelConfig(**header["config"])
     except (TypeError, ConfigError) as exc:

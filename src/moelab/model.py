@@ -17,6 +17,7 @@ as 2 * activated-params / 1e9 GFLOPs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -134,8 +135,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in ``params()`` and initialization order.
 
     The embedding comes first and the final norm scale last.  Each layer holds
-    attention, two norm scales and a bias table, then a gate and ``n_experts``
-    experts (MoE layers) or the three GEGLU matrices (dense layers).
+    attention, two norm scales and a bias table, then a gate and the stacked
+    expert weights, [E, M, H] and [E, H, M] (MoE layers), or the three GEGLU
+    matrices (dense layers).
     """
     cfg = config
     d, ff, a = cfg.d_model, cfg.d_ff, cfg.n_heads * cfg.d_head  # a: attention width
@@ -147,8 +149,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[p + "bias_table"] = (cfg.n_heads, cfg.rel_pos_buckets)
         if cfg.is_moe_layer(i):
             shapes[p + "gate"] = (d, cfg.n_experts)
-            for e in range(cfg.n_experts):
-                shapes |= {f"{p}expert{e}.w_in": (d, ff), f"{p}expert{e}.w_out": (ff, d)}
+            shapes |= {p + "experts.w_in": (cfg.n_experts, d, ff), p + "experts.w_out": (cfg.n_experts, ff, d)}
         else:
             shapes |= {p + "wa": (d, ff), p + "wb": (d, ff), p + "wout": (ff, d)}
     shapes["norm_final"] = (d,)
@@ -202,10 +203,7 @@ class TransformerLM:
             h2 = rmsnorm(x, p[f"{layer}.norm_ffn"])
             gate = p.get(f"{layer}.gate")  # an MoE layer, with one expert per gate column
             if gate is not None:
-                experts = [
-                    ExpertFFN(p[f"{layer}.expert{e}.w_in"], p[f"{layer}.expert{e}.w_out"])
-                    for e in range(gate.shape[1])
-                ]
+                experts = [ExpertFFN(p[f"{layer}.experts.w_in"], p[f"{layer}.experts.w_out"])]
                 flat = h2.reshape((batch * seq, cfg.d_model))
                 routed, stats = moe_forward(flat, experts, gate, cfg.capacity_factor)
                 x = x + routed.reshape((batch, seq, cfg.d_model))
@@ -231,30 +229,39 @@ def build(config: ModelConfig, seed: int) -> TransformerLM:
     """Deterministically initialize a model: scaled normals, variance 1/fan_in.
 
     Walks ``param_shapes`` in order.  The fan-in of a weight is its first
-    axis, except the embedding's, which is ``d_model``.  Relative-bias tables
-    start at zero (plain attention) and norm scales at one; neither draws.
-    The same (config, seed) pair always yields bit-identical parameters.
+    axis (a slice's first axis for stacked experts), except the embedding's,
+    which is ``d_model``.  Stacked experts draw expert by expert, each its
+    ``w_in`` slice then its ``w_out`` slice.  Relative-bias tables start at
+    zero (plain attention) and norm scales at one; neither draws.  The same
+    (config, seed) pair always yields bit-identical parameters.
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-    for name, shape in param_shapes(config).items():
+    shapes = param_shapes(config)
+    data: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
         kind = name.rpartition(".")[2]
+        if name in data:
+            continue  # a stacked w_out, drawn together with its w_in
         if kind.startswith("norm"):
-            data = np.ones(shape)
+            data[name] = np.ones(shape)
         elif kind == "bias_table":
-            data = np.zeros(shape)
+            data[name] = np.zeros(shape)
+        elif ".experts." in name:
+            pair = [name, name.replace("w_in", "w_out")]
+            data |= {n: np.empty(shapes[n]) for n in pair}
+            for e, n in itertools.product(range(shape[0]), pair):
+                data[n][e] = rng.normal(0.0, 1.0 / math.sqrt(shapes[n][1]), size=shapes[n][1:])
         else:
             fan_in = shape[1] if name == "embed" else shape[0]
-            data = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
-        params[name] = Tensor(data, requires_grad=True)
-    return TransformerLM(config, params)
+            data[name] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
+    return TransformerLM(config, {name: Tensor(data[name], requires_grad=True) for name in shapes})
 
 
 def count_params(config: ModelConfig) -> tuple[int, int]:
     """(total, activated-per-token) parameter counts, excluding the embedding.
 
-    Sums ``param_shapes``.  A token activates two experts per MoE layer, so
-    experts 0 and 1 stand for them in the activated count.
+    Sums ``param_shapes``.  A token activates two of the E stacked experts
+    per MoE layer, so the activated count takes two slices of each.
     """
     total = activated = 0
     for name, shape in param_shapes(config).items():
@@ -262,9 +269,7 @@ def count_params(config: ModelConfig) -> tuple[int, int]:
             continue
         size = math.prod(shape)
         total += size
-        expert = name.split(".")[1] if ".expert" in name else None
-        if expert in (None, "expert0", "expert1"):
-            activated += size
+        activated += 2 * math.prod(shape[1:]) if ".experts." in name else size
     return total, activated
 
 
@@ -285,8 +290,9 @@ def flops_per_token(config: ModelConfig) -> float:
 def reduce_to_single_expert(model: TransformerLM) -> TransformerLM:
     """Single-expert view of a model: each MoE layer keeps only expert 0.
 
-    Parameter tensors are shared with the original model; the gate collapses
-    to one column (whose value is irrelevant: a one-way softmax is exactly 1).
+    Parameter tensors are shared with the original model, and the stacked
+    experts become views of expert 0's slices; the gate collapses to one
+    column (whose value is irrelevant: a one-way softmax is exactly 1).
     With all experts of a layer holding identical parameters, this view
     computes the same function as the original, since the top-2 combine is a
     convex combination of equal outputs.
@@ -295,6 +301,6 @@ def reduce_to_single_expert(model: TransformerLM) -> TransformerLM:
     for name, tensor in model.params().items():
         if name.endswith(".gate"):
             kept[name] = Tensor(np.zeros((tensor.shape[0], 1)))
-        elif ".expert" not in name or ".expert0." in name:
-            kept[name] = tensor
+        else:
+            kept[name] = Tensor(tensor.data[:1]) if ".experts." in name else tensor
     return TransformerLM(model.config, kept)

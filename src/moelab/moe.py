@@ -53,7 +53,12 @@ class DispatchStats:
 
 
 class ExpertFFN:
-    """Plain two-matrix feed-forward expert: GELU between w_in and w_out."""
+    """Two-matrix feed-forward experts: GELU between w_in and w_out.
+
+    With stacked [k, M, H] and [k, H, M] weights it runs k experts on a
+    [k, C, M] buffer as one batched product; [M, H] and [H, M] weights are one
+    expert, broadcast over any leading axes of its input.
+    """
 
     def __init__(self, w_in: Tensor, w_out: Tensor):
         self.w_in = w_in
@@ -115,21 +120,25 @@ def moe_forward(
     of two slots contribute that slot's weighted output alone (no
     renormalization after a capacity drop).
 
-    Each expert runs once on a [C, M] buffer, C = min(max(capacity, 2), T):
-    its kept tokens in slot order, then padding rows that are never combined.
-    Buffer shapes depend only on (T, E, capacity_factor) and a kept token's
-    slot only on earlier tokens, so position i's output is bit-stable under
-    perturbations of later tokens.
+    E is the gate's column count.  The callables in ``experts`` split the E
+    experts into equal consecutive blocks of k = E / len(experts): one callable
+    over stacked weights runs them all, E callables run one each.  Each
+    callable gets its block's [k, C, M] buffer, C = min(max(capacity, 2), T):
+    per expert its kept tokens in slot order, then padding rows that are never
+    combined, and returns [k, C, M].  Buffer shapes depend only on (T, E,
+    capacity_factor) and a kept token's slot only on earlier tokens, so
+    position i's output is bit-stable under perturbations of later tokens.
     """
     if tokens.ndim != 2:
         raise ConfigError(f"tokens must be [T, M], got shape {tokens.shape}")
-    n_tokens = tokens.shape[0]
-    n_experts = len(experts)
-    if gate_weights.shape != (tokens.shape[1], n_experts):
+    n_tokens, d_model = tokens.shape
+    n_experts = gate_weights.shape[-1]
+    if gate_weights.shape != (d_model, n_experts) or not experts or n_experts % len(experts):
         raise ConfigError(
-            f"gate weights shape {gate_weights.shape} does not match "
-            f"(d_model={tokens.shape[1]}, n_experts={n_experts})"
+            f"gate weights shape {gate_weights.shape} does not fit d_model={d_model} "
+            f"and {len(experts)} equal blocks of experts"
         )
+    block = n_experts // len(experts)
     capacity = expert_capacity(n_tokens, n_experts, capacity_factor)
     probs = softmax(matmul(tokens, gate_weights), axis=-1)
     idx, weights, keep, slot = route(probs, capacity)
@@ -139,8 +148,9 @@ def moe_forward(
     rows = min(max(capacity, 2), n_tokens)
     source = np.zeros((n_experts, rows), dtype=np.intp)  # padding rows repeat token 0
     source[idx[keep], slot[keep]] = np.nonzero(keep)[0]
-    outputs = concat([expert(embedding(tokens, source[e])) for e, expert in enumerate(experts)])
-    picked = embedding(outputs, np.where(keep, idx * rows + slot, 0))
+    buffers = (embedding(tokens, source[j * block : (j + 1) * block]) for j in range(len(experts)))
+    outputs = concat([expert(x) for expert, x in zip(experts, buffers)])
+    picked = embedding(outputs.reshape((n_experts * rows, d_model)), np.where(keep, idx * rows + slot, 0))
     out = (picked * (weights * keep).reshape(idx.shape + (1,))).sum(axis=1)
     kept_any = keep.any(axis=1)
     if not kept_any.all():

@@ -267,11 +267,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _op(y, (x, back))
 
 
+def _log_softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
+    y = _log_softmax_data(x.data, axis)
 
     def back(g: np.ndarray) -> np.ndarray:
         return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
@@ -305,6 +308,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---- gather / scatter ------------------------------------------------------
 
 
+def _scatter_add(cells: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of ``shape`` plus each value of ``g`` at its flat cell id.
+
+    Each cell sums its values in index order from 0.0, as ``np.add.at`` does.
+    """
+    return np.bincount(cells.reshape(-1), weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``table[ids]``; gradient scatter-adds into the table."""
     table = _as_tensor(table)
@@ -314,11 +325,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"ids out of range [0, {table.shape[0]}): min={ids.min()}, max={ids.max()}"
         )
     shape = table.shape
+    width = math.prod(shape[1:])
 
     def back(g: np.ndarray) -> np.ndarray:
-        gt = np.zeros(shape, dtype=np.float64)
-        np.add.at(gt, ids, g)
-        return gt
+        cells = ids.reshape(-1, 1) * width + np.arange(width)
+        return _scatter_add(cells, g, shape)
 
     return _op(table.data[ids], (table, back))
 
@@ -330,12 +341,11 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
     if idx.shape[:-1] != x.shape[:-1]:
         raise ShapeError(f"index shape {idx.shape} does not match {x.shape}")
     shape = x.shape
+    lead = math.prod(shape[:-1])
 
     def back(g: np.ndarray) -> np.ndarray:
-        gx = np.zeros(shape, dtype=np.float64)
-        grids = np.meshgrid(*(np.arange(n) for n in idx.shape), indexing="ij")
-        np.add.at(gx, tuple(grids[:-1]) + (idx,), g)
-        return gx
+        cells = np.arange(lead)[:, None] * shape[-1] + idx.reshape(lead, idx.shape[-1])
+        return _scatter_add(cells, g, shape)
 
     return _op(np.take_along_axis(x.data, idx, axis=-1), (x, back))
 
@@ -354,9 +364,11 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` under ``logits``.
+    """Mean negative log-likelihood of ``targets`` under ``logits``, as one tape node.
 
     ``logits`` has shape [..., vocab]; ``targets`` matches the leading shape.
+    Forward and backward repeat the arithmetic of ``log_softmax``, a gather
+    and a mean, so loss and gradient are bit-equal to that composite.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
@@ -367,9 +379,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise IndexError(
             f"target ids out of range [0, {vocab}): min={targets.min()}, max={targets.max()}"
         )
-    lsm = log_softmax(logits, axis=-1)
-    picked = take_along_last(lsm, targets[..., None].astype(np.intp))
-    return -picked.mean()
+    lsm = _log_softmax_data(logits.data, axis=-1)
+    at = targets[..., None].astype(np.intp)
+    scale = 1.0 / targets.size
+
+    def back(g: np.ndarray) -> np.ndarray:
+        gx = np.zeros(lsm.shape)
+        np.put_along_axis(gx, at, -g * scale, axis=-1)
+        return gx - np.exp(lsm) * gx.sum(axis=-1, keepdims=True)
+
+    return _op(-(np.take_along_axis(lsm, at, axis=-1).sum() * scale), (logits, back))
 
 
 # ---- verification ----------------------------------------------------------

@@ -69,8 +69,9 @@ def lr_schedule(t: int, warmup_steps: int = 10_000, peak: float = 0.01) -> float
 class AdafactorState:
     """Per-parameter second-moment accumulators plus the shared step count.
 
-    Matrices hold factored "row" (mean over columns) and "col" (mean over
-    rows) accumulators; vectors and scalars hold a full accumulator.
+    Arrays of two or more axes hold factored "row" (mean over the last axis)
+    and "col" (mean over the second-to-last) accumulators, one pair per
+    trailing matrix slice; vectors and scalars hold a full accumulator.
     """
 
     step: int = 0
@@ -95,18 +96,17 @@ class AdafactorState:
         return state
 
 
-def _factored_vhat(row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    # v_ij = row_i * col_j / mean(row); exact for rank-one squared gradients
-    return np.outer(row, col) / row.mean()
-
-
 def adafactor_step(
     state: AdafactorState,
     params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
     lr: float,
 ) -> dict[str, Tensor]:
-    """Apply one update in place; increments the shared step counter."""
+    """Apply one update in place; increments the shared step counter.
+
+    A stacked [..., R, C] parameter is updated as its trailing [R, C] slices
+    would be one by one: factored accumulators and the RMS clip are per slice.
+    """
     state.step += 1
     b2 = beta2_hat(state.step)
     for name, p in params.items():
@@ -115,22 +115,27 @@ def adafactor_step(
             raise ConfigError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
         sq = g * g + _EPS_ACCUM
         slot = state.accum.setdefault(name, {})
-        if g.ndim == 2:
+        if g.ndim >= 2:
             row = slot.get("row")
             col = slot.get("col")
-            new_row = sq.mean(axis=1) if row is None else b2 * row + (1 - b2) * sq.mean(axis=1)
-            new_col = sq.mean(axis=0) if col is None else b2 * col + (1 - b2) * sq.mean(axis=0)
+            new_row = sq.mean(axis=-1) if row is None else b2 * row + (1 - b2) * sq.mean(axis=-1)
+            new_col = sq.mean(axis=-2) if col is None else b2 * col + (1 - b2) * sq.mean(axis=-2)
             slot["row"], slot["col"] = new_row, new_col
-            vhat = _factored_vhat(new_row, new_col)
+            # v_ij = row_i * col_j / mean(row) per matrix slice, exact for rank-one squared
+            # gradients; built in sq's spent buffer so a stacked tensor adds few temporaries
+            vhat = np.multiply(new_row[..., :, None], new_col[..., None, :], out=sq)
+            vhat /= new_row.mean(axis=-1)[..., None, None]
         else:
             full = slot.get("full")
             new_full = sq if full is None else b2 * full + (1 - b2) * sq
             slot["full"] = new_full
-            vhat = new_full
-        update = g / np.sqrt(vhat)
-        rms = math.sqrt(float((update * update).mean()))
-        update /= max(1.0, rms / _CLIP_THRESHOLD)
-        p.data = p.data - lr * update
+            vhat = new_full.copy()
+        update = np.divide(g, np.sqrt(vhat, out=vhat), out=vhat)
+        lead = g.shape[:-2]  # one RMS clip per trailing matrix slice, or one for a vector
+        rms = np.sqrt((update * update).reshape(lead + (-1,)).mean(axis=-1))
+        update /= np.maximum(1.0, rms / _CLIP_THRESHOLD).reshape(lead + (1,) * (g.ndim - len(lead)))
+        update *= lr
+        p.data = p.data - update
     return params
 
 
@@ -287,6 +292,8 @@ def train(
     if not aux_coeff >= 0:
         raise ConfigError(f"aux_coeff must be >= 0, got {aux_coeff}")
     warmup = warmup_steps if warmup_steps is not None else max(10, steps // 100)
+    if warmup < 1:
+        raise ConfigError(f"warmup_steps must be >= 1, got {warmup}")
     state = AdafactorState()
     data_seed = substream_seed(seed, "data")
     batches = batch_source(data_seed)

@@ -208,10 +208,9 @@ def test_criterion_05_duplicated_experts_match_the_reduced_dense_model():
         seq_len=8,
     )
     model = build(cfg, seed=50)
-    params = model.params()
-    for name, p in params.items():
-        if ".expert1." in name:
-            p.data[...] = params[name.replace(".expert1.", ".expert0.")].data
+    for name, p in model.params().items():
+        if ".experts." in name:
+            p.data[1] = p.data[0]
     single = reduce_to_single_expert(model)
     rng = np.random.default_rng(51)
     for _ in range(100):

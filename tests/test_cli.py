@@ -332,6 +332,59 @@ def test_checkpoint_header_structure_is_data_error(tmp_path, workspace, capsys, 
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+_EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ([], "must be an object"),
+        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": []}, "'payload_sha256'"),
+        ({"config": _GOOD_CONFIG, "meta": {}, "payload_sha256": _EMPTY_SHA256}, "'arrays' list"),
+        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": 3, "payload_sha256": _EMPTY_SHA256}, "'arrays' list"),
+        ({"config": _GOOD_CONFIG, "arrays": [], "payload_sha256": _EMPTY_SHA256}, "'meta' object"),
+        ({"meta": {}, "arrays": [], "payload_sha256": _EMPTY_SHA256}, "'config' object"),
+        ({"config": {"n_layerz": 2}, "meta": {}, "arrays": [], "payload_sha256": _EMPTY_SHA256}, "model config"),
+        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": [], "payload_sha256": "0" * 64}, "sha256"),
+    ],
+    ids=["not-object", "no-digest", "no-arrays", "arrays-not-list", "no-meta", "no-config", "bad-config", "bad-digest"],
+)
+def test_format_2_checkpoint_header_checks_are_data_errors(tmp_path, workspace, capsys, header, message):
+    blob = json.dumps(header).encode()
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"MOELABCK" + struct.pack("<IQ", 2, len(blob)) + blob)
+    tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
+    args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
+    assert main(args + ["--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+
+
+def _trained_checkpoint(workspace, out):
+    assert main(_train_args(workspace, out, steps=2)) == 0
+    return out / "checkpoint_last.ckpt"
+
+
+@pytest.mark.parametrize(
+    "damage, messages",
+    [("flipped-payload-byte", ["sha256"]), ("format-version-1", ["version 1", "version 2"])],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_damaged_or_old_checkpoint_exits_5(tmp_path, workspace, capsys, damage, messages):
+    ckpt = _trained_checkpoint(workspace, tmp_path / "run")
+    data = bytearray(ckpt.read_bytes())
+    if damage == "flipped-payload-byte":
+        data[-100] ^= 0x01  # without the digest, this file loads with one array corrupted
+    else:
+        data[8:12] = struct.pack("<I", 1)
+    ckpt.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(_eval_args(workspace, tmp_path / "eval", ckpt=ckpt)) == 5
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not (tmp_path / "eval" / "eval_report.json").exists()
+
+
 def test_no_subcommand_and_help_exit_codes(capsys):
     assert main([]) == 2
     assert main(["--help"]) == 0
@@ -564,6 +617,14 @@ def test_train_that_runs_out_of_tries_exits_3(tmp_path, workspace, capsys):
     assert main(args) == 3
     assert "of 20 updates done" in capsys.readouterr().err
     assert not (tmp_path / "train_report.json").exists()
+
+
+def test_train_with_zero_warmup_exits_3_and_writes_nothing(tmp_path, workspace, capsys):
+    args = _train_args(workspace, tmp_path) + ["--set", "trainer.warmup_steps=0"]
+    assert main(args) == 3
+    assert "warmup_steps" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint_last.ckpt").exists()
+    assert not (tmp_path / "train_log.jsonl").exists()
 
 
 def test_train_needs_steps(tmp_path, workspace):

@@ -18,7 +18,7 @@ from moelab.model import (
     relative_buckets,
     rmsnorm,
 )
-from moelab.moe import ConfigError
+from moelab.moe import ConfigError, ExpertFFN, expert_capacity
 from moelab.tensor import Tensor, grad_check
 from moelab.util import params_checksum
 
@@ -69,15 +69,19 @@ def test_build_is_deterministic():
 
 def test_build_structure():
     def experts(params, i):
-        return {name.split(".")[1] for name in params if name.startswith(f"layer{i}.expert")}
+        return {name for name in params if name.startswith(f"layer{i}.expert")}
 
     dense = build(tiny_cfg(n_experts=1), seed=0).params()
     assert all(f"layer{i}.gate" not in dense and not experts(dense, i) for i in range(2))
 
-    sparse = build(tiny_cfg(n_experts=4, n_layers=4), seed=0).params()
+    cfg = tiny_cfg(n_experts=4, n_layers=4)
+    sparse = build(cfg, seed=0).params()
     moe_layers = [i for i in range(4) if f"layer{i}.gate" in sparse]
     assert moe_layers == [1, 3]
-    assert all(len(experts(sparse, i)) == 4 for i in moe_layers)
+    for i in moe_layers:
+        assert experts(sparse, i) == {f"layer{i}.experts.w_in", f"layer{i}.experts.w_out"}
+        assert sparse[f"layer{i}.experts.w_in"].shape == (4, cfg.d_model, cfg.d_ff)
+        assert sparse[f"layer{i}.experts.w_out"].shape == (4, cfg.d_ff, cfg.d_model)
 
 
 def test_forward_shapes_and_stats():
@@ -263,13 +267,13 @@ def test_activated_count_by_manual_walk():
     for name, p in params.items():
         if name == "embed":
             continue
-        if ".expert" in name:
+        if ".experts." in name:
             continue  # count experts separately below
         activated += p.size
-    # two activated experts per MoE layer
+    # two activated experts per MoE layer: two slices of each stacked weight
     for i in range(cfg.n_layers):
         if f"layer{i}.gate" in params:
-            expert0 = params[f"layer{i}.expert0.w_in"], params[f"layer{i}.expert0.w_out"]
+            expert0 = params[f"layer{i}.experts.w_in"].data[0], params[f"layer{i}.experts.w_out"].data[0]
             activated += 2 * (expert0[0].size + expert0[1].size)
     assert activated == count_params(cfg)[1]
 
@@ -303,24 +307,62 @@ def test_preset_counts_are_pinned():
 def test_parameter_names_order_and_init_are_pinned():
     params = build(tiny_cfg(), seed=7).params()
     shared = ["wq", "wk", "wv", "wo", "norm_attn", "norm_ffn", "bias_table"]
-    experts = [f"expert{e}.{w}" for e in range(4) for w in ("w_in", "w_out")]
+    experts = ["experts.w_in", "experts.w_out"]
     assert list(params) == (
         ["embed"]
         + [f"layer0.{n}" for n in shared + ["wa", "wb", "wout"]]
         + [f"layer1.{n}" for n in shared + ["gate"] + experts]
         + ["norm_final"]
     )
-    assert params_checksum(params) == "e29d2e75839fc115a2f926191bf5ac8e900cf65ebf83c8f24ec3750e5cc39059"
+    assert params_checksum(params) == "abe331e008288e17d6507bdaf722cdaf4d783fda103c1f6cb5824d9451423a92"
+
+
+def _train_tape_nodes(model, ids):
+    """Recorded operations reachable from a train forward's loss."""
+    logits, aux, _ = model.forward(ids[:, :-1])
+    loss = T.cross_entropy(logits, ids[:, 1:]) + 0.01 * aux
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += bool(node._parents)
+            stack.extend(parent for parent, _ in node._parents)
+    return count
+
+
+def test_train_forward_tape_does_not_grow_with_experts():
+    ids = np.random.default_rng(3).integers(0, 17, size=(2, 6))
+    # capacity_factor E makes every expert's capacity cover all tokens: nothing drops
+    counts = {
+        e: _train_tape_nodes(build(tiny_cfg(n_experts=e, seq_len=6, capacity_factor=float(e)), seed=4), ids)
+        for e in (2, 4, 32)
+    }
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_forward_calls_one_expert_callable_per_moe_layer(monkeypatch):
+    calls = []
+    expert_call = ExpertFFN.__call__
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return expert_call(self, x)
+
+    monkeypatch.setattr(ExpertFFN, "__call__", counted)
+    cfg = tiny_cfg(n_experts=8, n_layers=4)
+    build(cfg, seed=5).forward(np.zeros((2, 5), dtype=int))
+    capacity = expert_capacity(10, 8, cfg.capacity_factor)
+    assert calls == [(8, capacity, cfg.d_model)] * 2
 
 
 def test_dense_reduction_equivalence():
     cfg = tiny_cfg(n_experts=2, n_layers=2)
     model = build(cfg, seed=10)
     # duplicate expert 0 into expert 1 in every MoE layer
-    params = model.params()
-    for name, p in params.items():
-        if ".expert1." in name:
-            p.data[...] = params[name.replace(".expert1.", ".expert0.")].data
+    for name, p in model.params().items():
+        if ".experts." in name:
+            p.data[1] = p.data[0]
     single = reduce_to_single_expert(model)
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -340,7 +382,7 @@ def test_model_loss_grad_check_small():
     ids = np.random.default_rng(13).integers(0, 7, size=(1, 4))
     params = model.params()
 
-    for name in ["embed", "layer1.gate", "layer0.wa", "layer1.expert0.w_in", "norm_final"]:
+    for name in ["embed", "layer1.gate", "layer0.wa", "layer1.experts.w_in", "norm_final"]:
         p = params[name]
 
         def g(t, p=p):

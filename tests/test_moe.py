@@ -486,7 +486,8 @@ class RowCountingExpert:
         self.rows = []
 
     def __call__(self, x):
-        self.rows.append(x.shape[0])
+        self.rows.append(x.shape[-2])
+        self.experts = x.shape[0]
         return x * 2.0
 
 
@@ -497,11 +498,16 @@ class RowCountingExpert:
 def test_each_expert_runs_once_on_its_capacity_buffer(n_tokens, n_experts, capacity_factor):
     rng = np.random.default_rng(n_tokens + n_experts)
     experts = [RowCountingExpert() for _ in range(n_experts)]
+    stacked = RowCountingExpert()
     tokens = Tensor(rng.normal(size=(n_tokens, 3)))
-    moe_forward(tokens, experts, Tensor(rng.normal(size=(3, n_experts))), capacity_factor)
+    gate = Tensor(rng.normal(size=(3, n_experts)))
+    moe_forward(tokens, experts, gate, capacity_factor)
+    moe_forward(tokens, [stacked], gate, capacity_factor)
     capacity = expert_capacity(n_tokens, n_experts, capacity_factor)
     rows = min(max(capacity, 2), n_tokens)  # a buffer never has one row unless T is 1
     assert [e.rows for e in experts] == [[rows]] * n_experts
+    assert all(e.experts == 1 for e in experts)
+    assert stacked.rows == [rows] and stacked.experts == n_experts  # one [E, C, M] call
 
 
 def _mask_combine(tokens, experts, gate_weights, capacity_factor):
@@ -546,3 +552,30 @@ def test_moe_forward_equals_mask_combine(n_tokens, n_experts, capacity_factor, s
     assert np.array_equal(out, want)
     for got, expected in zip(grads, want_grads):
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_experts", [2, 4, 32, 64])
+def test_stacked_experts_equal_the_list_bit_for_bit(n_experts):
+    # one ExpertFFN over [E, M, H] and [E, H, M] against E one-expert callables over the slices
+    rng = np.random.default_rng(n_experts)
+    arrays = [
+        rng.normal(size=(96, 8)),
+        rng.normal(scale=2.0, size=(8, n_experts)),
+        rng.normal(size=(n_experts, 8, 12)),
+        rng.normal(size=(n_experts, 12, 8)),
+    ]
+    probe = Tensor(rng.normal(size=(96, 8)))
+
+    def run(stacked):
+        tokens, gate, w_in, w_out = [Tensor(a, requires_grad=True) for a in arrays]
+        pairs = [(w_in, w_out)]
+        if not stacked:
+            pairs = [(Tensor(w_in.data[e], requires_grad=True), Tensor(w_out.data[e], requires_grad=True))
+                     for e in range(n_experts)]
+        out, _ = moe_forward(tokens, [ExpertFFN(*pair) for pair in pairs], gate)
+        (out * probe).sum().backward()
+        weight_grads = [np.stack([pair[i].grad for pair in pairs]).reshape(arrays[2 + i].shape) for i in (0, 1)]
+        return [out.data, tokens.grad, gate.grad, *weight_grads]
+
+    for stacked, listed in zip(run(True), run(False)):
+        assert stacked.tobytes() == listed.tobytes()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelab import tensor as T
 from moelab.tensor import Tensor, grad_check
@@ -187,3 +189,51 @@ def test_constants_stay_off_tape():
     out = (a * b).sum()
     out.backward()
     assert a.grad is None and np.allclose(b.grad, 1.0)
+
+
+# ------------------------------------------- scatter-adds and fused loss
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 9), st.integers(0, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_gather_gradients_equal_an_add_at_reference(rows, n_ids, width, seed):
+    # ids repeat (rows is small), and n_ids may be 0
+    rng = np.random.default_rng(seed)
+    table = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+    ids = rng.integers(0, rows, size=n_ids)
+    g = rng.normal(size=(n_ids, width))
+    (T.embedding(table, ids) * Tensor(g)).sum().backward()
+    want = np.zeros((rows, width))
+    np.add.at(want, ids, g)
+    assert table.grad.tobytes() == want.tobytes()
+
+    x = Tensor(rng.normal(size=(2, 3, width)), requires_grad=True)
+    idx = rng.integers(0, width, size=(2, 3, n_ids))
+    g = rng.normal(size=idx.shape)
+    (T.take_along_last(x, idx) * Tensor(g)).sum().backward()
+    want = np.zeros(x.shape)
+    lead = np.meshgrid(np.arange(2), np.arange(3), np.arange(n_ids), indexing="ij")[:2]
+    np.add.at(want, (*lead, idx), g)
+    assert x.grad.tobytes() == want.tobytes()
+
+
+def _cross_entropy_composite(logits, targets):
+    picked = T.take_along_last(T.log_softmax(logits, axis=-1), targets[..., None])
+    return -picked.mean()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 7), st.integers(2, 30), st.floats(0.1, 40.0), st.integers(0, 2**32 - 1))
+def test_cross_entropy_is_one_node_bit_equal_to_its_composite(batch, seq, vocab, scale, seed):
+    rng = np.random.default_rng(seed)
+    data = scale * rng.normal(size=(batch, seq, vocab))
+    targets = rng.integers(0, vocab, size=(batch, seq))
+    results = []
+    for loss_fn in (T.cross_entropy, _cross_entropy_composite):
+        logits = Tensor(data, requires_grad=True)
+        loss = loss_fn(logits, targets)
+        loss.backward()
+        results.append((loss.data.tobytes(), logits.grad.tobytes(), [p for p, _ in loss._parents]))
+    (fused, fused_grad, parents), (loss, grad, _) = results
+    assert fused == loss and fused_grad == grad
+    assert len(parents) == 1 and parents[0]._parents == []  # the logits leaf, one node up

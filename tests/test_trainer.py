@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelab import trainer
 from moelab.checkpoint import (
@@ -104,6 +106,32 @@ def test_uniform_matrix_gradient_gives_unit_update():
     state = AdafactorState()
     adafactor_step(state, {"w": p}, {"w": np.full((3, 4), 0.5)}, lr=0.01)
     assert np.allclose(p.data, -0.01, atol=1e-9)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(3, 5),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_update_equals_the_per_matrix_rule_on_each_slice(n_experts, rows, cols, steps, scale, seed):
+    rng = np.random.default_rng(seed)
+    init = rng.normal(size=(n_experts, rows, cols))
+    stacked = {"w": Tensor(init.copy(), requires_grad=True)}
+    slices = {f"w{e}": Tensor(init[e].copy(), requires_grad=True) for e in range(n_experts)}
+    state_stacked, state_slices = AdafactorState(), AdafactorState()
+    for _ in range(steps):
+        g = scale * rng.normal(size=init.shape) * rng.uniform(0.0, 3.0, size=(n_experts, 1, 1))
+        adafactor_step(state_stacked, stacked, {"w": g}, lr=0.05)
+        adafactor_step(state_slices, slices, {f"w{e}": g[e] for e in range(n_experts)}, lr=0.05)
+        for e in range(n_experts):
+            assert stacked["w"].data[e].tobytes() == slices[f"w{e}"].data.tobytes()
+            for kind in ("row", "col"):
+                want = state_slices.accum[f"w{e}"][kind]
+                assert state_stacked.accum["w"][kind][e].tobytes() == want.tobytes()
 
 
 def test_factored_estimate_is_exact_for_rank_one():
@@ -271,6 +299,28 @@ def test_checkpoint_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 16])
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_flipped_payload_byte(tmp_path):
+    config = tiny_config()
+    path = tmp_path / "snap.ckpt"
+    save_checkpoint(path, config, build(config, seed=11).params())
+    data = bytearray(path.read_bytes())
+    data[-100] ^= 0x01  # a mantissa bit of the last array; the file still parses
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError, match="sha256"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_of_format_version_1_is_refused_by_name(tmp_path):
+    config = tiny_config()
+    path = tmp_path / "snap.ckpt"
+    save_checkpoint(path, config, build(config, seed=11).params())
+    data = bytearray(path.read_bytes())
+    data[8:12] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError, match="version 1 .*version 2"):
         load_checkpoint(path)
 
 
