@@ -290,8 +290,10 @@ def flops_per_token(config: ModelConfig) -> float:
 def reduce_to_single_expert(model: TransformerLM) -> TransformerLM:
     """Single-expert view of a model: each MoE layer keeps only expert 0.
 
-    Parameter tensors are shared with the original model, and the stacked
-    experts become views of expert 0's slices; the gate collapses to one
+    Parameter tensors other than the experts are shared with the original
+    model.  Each stacked expert weight becomes a new Tensor over a view of
+    expert 0's slice, so it reads the original values but gradients through
+    the view do not reach the original experts.  The gate collapses to one
     column (whose value is irrelevant: a one-way softmax is exactly 1).
     With all experts of a layer holding identical parameters, this view
     computes the same function as the original, since the top-2 combine is a

@@ -267,14 +267,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _op(y, (x, back))
 
 
-def _log_softmax_data(x: np.ndarray, axis: int) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
-    y = _log_softmax_data(x.data, axis)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    y = shifted - lse
 
     def back(g: np.ndarray) -> np.ndarray:
         return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
@@ -340,6 +337,8 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.shape[:-1] != x.shape[:-1]:
         raise ShapeError(f"index shape {idx.shape} does not match {x.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[-1]):
+        raise IndexError(f"idx out of range [0, {x.shape[-1]}): min={idx.min()}, max={idx.max()}")
     shape = x.shape
     lead = math.prod(shape[:-1])
 
@@ -364,11 +363,9 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` under ``logits``, as one tape node.
+    """Mean negative log-likelihood of ``targets`` under ``logits``.
 
     ``logits`` has shape [..., vocab]; ``targets`` matches the leading shape.
-    Forward and backward repeat the arithmetic of ``log_softmax``, a gather
-    and a mean, so loss and gradient are bit-equal to that composite.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
@@ -379,16 +376,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise IndexError(
             f"target ids out of range [0, {vocab}): min={targets.min()}, max={targets.max()}"
         )
-    lsm = _log_softmax_data(logits.data, axis=-1)
-    at = targets[..., None].astype(np.intp)
-    scale = 1.0 / targets.size
-
-    def back(g: np.ndarray) -> np.ndarray:
-        gx = np.zeros(lsm.shape)
-        np.put_along_axis(gx, at, -g * scale, axis=-1)
-        return gx - np.exp(lsm) * gx.sum(axis=-1, keepdims=True)
-
-    return _op(-(np.take_along_axis(lsm, at, axis=-1).sum() * scale), (logits, back))
+    lsm = log_softmax(logits, axis=-1)
+    picked = take_along_last(lsm, targets[..., None].astype(np.intp))
+    return -picked.mean()
 
 
 # ---- verification ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line tests: in-process main() with temp workspaces."""
 
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -8,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from moelab import checkpoint
 from moelab.checkpoint import save_checkpoint
 from moelab.cli import main
 from moelab.configs import preset
@@ -276,42 +278,59 @@ def test_mismatched_checkpoint_array_is_data_error(tmp_path, workspace, capsys, 
 
 
 def _checkpoint_bytes(header: bytes) -> bytes:
-    return b"MOELABCK" + struct.pack("<IQ", 1, len(header)) + header
+    return b"MOELABCK" + struct.pack("<IQ", checkpoint._VERSION, len(header)) + header
+
+
+_EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()  # the digest of a checkpoint with no arrays
 
 
 @pytest.mark.parametrize(
-    "blob",
+    "blob, message",
     [
-        b"MOELABCK\x01\x00",  # shorter than the fixed header
-        _checkpoint_bytes(b"{not json"),
-        _checkpoint_bytes(json.dumps({"config": {"n_layerz": 2}, "meta": {}, "arrays": []}).encode()),
+        (b"MOELABCK\x01\x00", "truncated"),  # shorter than the fixed header
+        (_checkpoint_bytes(b"{not json"), "not JSON"),
+        (
+            _checkpoint_bytes(
+                json.dumps(
+                    {"config": {"n_layerz": 2}, "meta": {}, "arrays": [], "payload_sha256": _EMPTY_SHA256}
+                ).encode()
+            ),
+            "model config",
+        ),
     ],
     ids=["short", "not-json", "bad-config"],
 )
-def test_corrupt_checkpoint_header_is_data_error(tmp_path, workspace, capsys, blob):
+def test_corrupt_checkpoint_header_is_data_error(tmp_path, workspace, capsys, blob, message):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(blob)
     tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
     args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
     assert main(args + ["--out", str(tmp_path)]) == 5
-    assert capsys.readouterr().err.startswith("data error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err, err
 
 
 _GOOD_CONFIG = dataclasses.asdict(
     ModelConfig(n_layers=2, d_model=16, d_ff=32, n_heads=2, d_head=8, seq_len=128)
 )
+_DIGEST = {"payload_sha256": _EMPTY_SHA256}
 
 
 @pytest.mark.parametrize(
-    "header",
+    "header, message",
     [
-        [],
-        {"config": _GOOD_CONFIG, "meta": {}},
-        {"config": _GOOD_CONFIG, "meta": {}, "arrays": 3},
-        {"config": _GOOD_CONFIG, "meta": {}, "arrays": [{"name": "param/embed", "dtype": "<f8"}]},
-        {"config": _GOOD_CONFIG, "meta": {}, "arrays": [["param/embed", [2], "<f8"]]},
-        {"config": _GOOD_CONFIG, "arrays": []},
-        {"meta": {}, "arrays": []},
+        ([], "must be an object"),
+        ({"config": _GOOD_CONFIG, "meta": {}, **_DIGEST}, "'arrays' list"),
+        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": 3, **_DIGEST}, "'arrays' list"),
+        (
+            {"config": _GOOD_CONFIG, "meta": {}, "arrays": [{"name": "param/embed", "dtype": "<f8"}], **_DIGEST},
+            "'arrays' list",
+        ),
+        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": [["param/embed", [2], "<f8"]], **_DIGEST}, "'arrays' list"),
+        ({"config": _GOOD_CONFIG, "arrays": [], **_DIGEST}, "'meta' object"),
+        ({"meta": {}, "arrays": [], **_DIGEST}, "'config' object"),
+        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": []}, "'payload_sha256'"),
+        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": [], "payload_sha256": "0" * 64}, "sha256"),
     ],
     ids=[
         "not-object",
@@ -321,43 +340,18 @@ _GOOD_CONFIG = dataclasses.asdict(
         "entry-not-object",
         "no-meta",
         "no-config",
+        "no-digest",
+        "bad-digest",
     ],
 )
-def test_checkpoint_header_structure_is_data_error(tmp_path, workspace, capsys, header):
+def test_checkpoint_header_structure_is_data_error(tmp_path, workspace, capsys, header, message):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(_checkpoint_bytes(json.dumps(header).encode()))
     tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
     args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
     assert main(args + ["--out", str(tmp_path)]) == 5
-    assert capsys.readouterr().err.startswith("data error: ")
-
-
-_EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-
-
-@pytest.mark.parametrize(
-    "header, message",
-    [
-        ([], "must be an object"),
-        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": []}, "'payload_sha256'"),
-        ({"config": _GOOD_CONFIG, "meta": {}, "payload_sha256": _EMPTY_SHA256}, "'arrays' list"),
-        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": 3, "payload_sha256": _EMPTY_SHA256}, "'arrays' list"),
-        ({"config": _GOOD_CONFIG, "arrays": [], "payload_sha256": _EMPTY_SHA256}, "'meta' object"),
-        ({"meta": {}, "arrays": [], "payload_sha256": _EMPTY_SHA256}, "'config' object"),
-        ({"config": {"n_layerz": 2}, "meta": {}, "arrays": [], "payload_sha256": _EMPTY_SHA256}, "model config"),
-        ({"config": _GOOD_CONFIG, "meta": {}, "arrays": [], "payload_sha256": "0" * 64}, "sha256"),
-    ],
-    ids=["not-object", "no-digest", "no-arrays", "arrays-not-list", "no-meta", "no-config", "bad-config", "bad-digest"],
-)
-def test_format_2_checkpoint_header_checks_are_data_errors(tmp_path, workspace, capsys, header, message):
-    blob = json.dumps(header).encode()
-    ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_bytes(b"MOELABCK" + struct.pack("<IQ", 2, len(blob)) + blob)
-    tasks = json.dumps([str(workspace / "tasks" / "copa.jsonl")])
-    args = ["eval", "--set", f"eval.tasks={tasks}", "--set", f"eval.checkpoint={ckpt}"]
-    assert main(args + ["--out", str(tmp_path)]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and message in err
+    assert err.startswith("data error: ") and message in err, err
 
 
 def _trained_checkpoint(workspace, out):
