@@ -6,6 +6,9 @@ a gradient closure per operand that requires grad on a dynamic tape;
 ``Tensor.backward`` replays the tape in reverse topological order and
 accumulates gradients additively, so parameters shared between several
 subexpressions (e.g. a tied embedding) receive the sum of all contributions.
+Interior gradients are transient: each lives in the pass's own map until its
+node is replayed, then is freed.  Only leaves (tensors with no parents on the
+tape) keep ``.grad``, and a repeated pass adds its gradient to it once more.
 
 All math is double precision.  Nothing here prevents NaN or Inf from flowing
 through; detecting them is the caller's job (the trainer does exactly that).
@@ -101,7 +104,14 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar.  Accumulates into ``grad``."""
+        """Reverse-mode pass from a scalar.  Adds this pass's gradient to every leaf's ``grad``.
+
+        Interior gradients live in a map local to the pass: a node's first
+        contribution is kept as it comes, later ones are summed out of place,
+        and the entry is dropped once the node is replayed.  Interior nodes
+        keep ``grad is None``, so a second pass on the same graph adds exactly
+        one more gradient to each leaf.
+        """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -119,13 +129,15 @@ class Tensor:
             for parent, _ in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data))
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            if node.grad is None:
-                continue
-            g = node.grad
+            g = grads.pop(node)
+            if not node._parents:
+                node._accumulate(g)
             for parent, fn in node._parents:
-                parent._accumulate(fn(g))
+                part = fn(g)
+                prev = grads.get(parent)
+                grads[parent] = part if prev is None else prev + part
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -215,11 +227,10 @@ class Tensor:
         return _op(self.data.sum(axis=axis, keepdims=keepdims), (self, back))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.size
-        else:
-            count = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        total = self.sum(axis=axis, keepdims=keepdims)  # numpy rejects bad or repeated axes first
+        axes = range(self.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+        count = math.prod(self.shape[a] for a in axes)  # a negative axis counts from the end
+        return total * (1.0 / count)
 
 
 def _as_tensor(value) -> Tensor:

@@ -3,7 +3,8 @@
 scipy stays inside ``tensor.py``; modules share only public names; every
 generator is built from a seed, so no library function draws unseeded;
 only ``cli.main`` prints to stdout, after it has written the report;
-only ``Tensor.__init__`` and ``tensor._op`` write the autodiff tape's edges;
+only ``Tensor.__init__`` and ``tensor._op`` write the autodiff tape's edges,
+and only ``Tensor.__init__``, ``zero_grad`` and ``_accumulate`` store to ``.grad``;
 every imported name is used or re-exported; and no module calls ``np.add.at``,
 whose unbuffered scatter is several times slower than ``np.bincount``.
 """
@@ -76,25 +77,35 @@ def test_only_cli_main_prints_to_stdout(path):
             assert id(node) in allowed, f"line {node.lineno} prints to stdout"
 
 
-def _parents_writes(node, scope=""):
-    """(enclosing function, line) of each store to, or method call on, ``._parents``."""
+def _writes(node, attr, calls, scope=""):
+    """(enclosing function, line) of each store to ``.attr``, and with ``calls`` each method call on it."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}" if scope else node.name
     target = None
     if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
         target = node if isinstance(node, ast.Attribute) else node.value
-    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+    elif calls and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         target = node.func.value
-    if isinstance(target, ast.Attribute) and target.attr == "_parents":
+    if isinstance(target, ast.Attribute) and target.attr == attr:
         yield scope, node.lineno
     for child in ast.iter_child_nodes(node):
-        yield from _parents_writes(child, scope)
+        yield from _writes(child, attr, calls, scope)
 
 
 def test_only_the_node_constructor_writes_tape_edges():
     tensor = next(p for p in MODULES if p.name == "tensor.py")
-    writes = list(_parents_writes(_tree(tensor)))
+    writes = list(_writes(_tree(tensor), "_parents", calls=True))
     assert {scope for scope, _ in writes} == {"Tensor.__init__", "_op"}, writes
+
+
+def test_only_leaves_store_gradients():
+    # backward keeps interior gradients in a map of its own; .grad is set, reset or summed into here only
+    writes = [(path.name, scope, line) for path in MODULES for scope, line in _writes(_tree(path), "grad", calls=False)]
+    assert {(name, scope) for name, scope, _ in writes} == {
+        ("tensor.py", "Tensor.__init__"),
+        ("tensor.py", "Tensor.zero_grad"),
+        ("tensor.py", "Tensor._accumulate"),
+    }, writes
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor.py"], ids=lambda p: p.name)

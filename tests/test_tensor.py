@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moelab import tensor as T
+from moelab.model import ModelConfig, build
 from moelab.tensor import Tensor, grad_check
 
 
@@ -111,24 +112,24 @@ def test_grad_check_eps_validation():
         grad_check(lambda t: t.sum(), x, eps=1e-2)
 
 
-@pytest.mark.parametrize(
-    "name,fn,shape",
-    [
-        ("matmul_left", lambda t: T.matmul(t, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))).sum(), (5, 4)),
-        ("matmul_right", lambda t: T.matmul(Tensor(np.linspace(-1, 1, 20).reshape(5, 4)), t).sum(), (4, 3)),
-        ("batched_matmul", lambda t: T.matmul(t, t.swap_last2()).sum(), (2, 3, 4)),
-        ("gelu", lambda t: T.gelu(t).sum(), (4, 4)),
-        ("softmax", lambda t: (T.softmax(t, axis=-1) * Tensor(np.arange(12.0).reshape(3, 4))).sum(), (3, 4)),
-        ("log_softmax", lambda t: (T.log_softmax(t, axis=-1) * Tensor(np.ones((3, 4)))).sum(), (3, 4)),
-        ("div", lambda t: (t / (t * t + 1.0)).sum(), (6,)),
-        ("pow", lambda t: ((t * t + 0.5) ** -0.5).sum(), (5,)),
-        ("mean_axis", lambda t: (t.mean(axis=1) * Tensor([1.0, -2.0, 3.0])).sum(), (3, 4)),
-        ("transpose", lambda t: (t.transpose((1, 0)) * Tensor(np.ones((4, 3)))).sum(), (3, 4)),
-        ("reshape", lambda t: (t.reshape((2, 6)) * Tensor(np.arange(12.0).reshape(2, 6))).sum(), (3, 4)),
-        ("broadcast_add", lambda t: (t + Tensor(np.arange(4.0))).sum(), (3, 4)),
-        ("broadcast_mul", lambda t: (t * Tensor(np.arange(1.0, 5.0))).sum(), (3, 4)),
-    ],
-)
+OP_SUITE = [
+    ("matmul_left", lambda t: T.matmul(t, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))).sum(), (5, 4)),
+    ("matmul_right", lambda t: T.matmul(Tensor(np.linspace(-1, 1, 20).reshape(5, 4)), t).sum(), (4, 3)),
+    ("batched_matmul", lambda t: T.matmul(t, t.swap_last2()).sum(), (2, 3, 4)),
+    ("gelu", lambda t: T.gelu(t).sum(), (4, 4)),
+    ("softmax", lambda t: (T.softmax(t, axis=-1) * Tensor(np.arange(12.0).reshape(3, 4))).sum(), (3, 4)),
+    ("log_softmax", lambda t: (T.log_softmax(t, axis=-1) * Tensor(np.ones((3, 4)))).sum(), (3, 4)),
+    ("div", lambda t: (t / (t * t + 1.0)).sum(), (6,)),
+    ("pow", lambda t: ((t * t + 0.5) ** -0.5).sum(), (5,)),
+    ("mean_axis", lambda t: (t.mean(axis=1) * Tensor([1.0, -2.0, 3.0])).sum(), (3, 4)),
+    ("transpose", lambda t: (t.transpose((1, 0)) * Tensor(np.ones((4, 3)))).sum(), (3, 4)),
+    ("reshape", lambda t: (t.reshape((2, 6)) * Tensor(np.arange(12.0).reshape(2, 6))).sum(), (3, 4)),
+    ("broadcast_add", lambda t: (t + Tensor(np.arange(4.0))).sum(), (3, 4)),
+    ("broadcast_mul", lambda t: (t * Tensor(np.arange(1.0, 5.0))).sum(), (3, 4)),
+]
+
+
+@pytest.mark.parametrize("name,fn,shape", OP_SUITE)
 def test_grad_check_op_suite(name, fn, shape):
     x = Tensor(np.random.default_rng(hash(name) % 2**32).normal(size=shape))
     assert grad_check(fn, x) < 1e-4
@@ -189,6 +190,93 @@ def test_constants_stay_off_tape():
     out = (a * b).sum()
     out.backward()
     assert a.grad is None and np.allclose(b.grad, 1.0)
+
+
+def test_repeated_backward_adds_one_more_gradient():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = x * 3.0
+    z = y.sum()
+    z.backward()
+    z.backward()
+    assert x.grad.tolist() == [6.0, 6.0]
+    assert y.grad is None and z.grad is None
+
+
+@pytest.mark.parametrize("axis", [None, 1, -1, (0, 1), (-1, 0), (0, 2), (0, 1, 2)])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_mean_over_axes_matches_numpy(axis, keepdims):
+    data = np.random.default_rng(11).normal(size=(2, 3, 4))
+    got = Tensor(data).mean(axis=axis, keepdims=keepdims).data
+    assert np.allclose(got, data.mean(axis=axis, keepdims=keepdims), rtol=1e-14, atol=0.0)
+
+    def f(t):
+        m = t.mean(axis=axis, keepdims=keepdims)
+        return (m * m).sum()
+
+    assert grad_check(f, Tensor(data)) < 1e-6
+
+
+# ---------------------------------------------- the former replay, for reference
+
+
+def _former_replay(root):
+    """The tape's nodes, and each leaf's gradient, by the rule backward used to follow.
+
+    Every node's first gradient is copied into a buffer of its own and later
+    ones are added in place; nothing is freed before the pass ends.
+    """
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    held = {}
+
+    def add(node, g):
+        if node in held:
+            held[node] += g
+        else:
+            held[node] = np.empty_like(node.data)
+            held[node][...] = g
+
+    add(root, np.ones_like(root.data))
+    for node in reversed(topo):
+        for parent, fn in node._parents:
+            add(parent, fn(held[node]))
+    return topo, {node: held[node] for node in topo if not node._parents}
+
+
+def _assert_backward_matches_former_replay(loss):
+    topo, want = _former_replay(loss)
+    loss.backward()
+    assert want and all(leaf.grad.tobytes() == g.tobytes() for leaf, g in want.items())
+    assert all(node.grad is None for node in topo if node._parents)
+
+
+@pytest.mark.parametrize("name,fn,shape", OP_SUITE)
+def test_leaf_gradients_equal_the_former_replay_on_the_op_suite(name, fn, shape):
+    x = Tensor(np.random.default_rng(len(name)).normal(size=shape), requires_grad=True)
+    _assert_backward_matches_former_replay(fn(x))
+
+
+def test_leaf_gradients_equal_the_former_replay_on_a_moe_model():
+    # tied embedding, residual fan-out, and the MoE layer's expert gather and combine
+    config = ModelConfig(
+        n_layers=2, d_model=8, d_ff=16, n_heads=2, d_head=4,
+        n_experts=4, vocab_size=17, seq_len=6, batch_size=3, rel_pos_buckets=8,
+    )
+    ids = np.random.default_rng(5).integers(0, 17, size=(3, 7))
+    logits, aux, stats = build(config, seed=4).forward(ids[:, :-1])
+    assert len(stats) == 1
+    _assert_backward_matches_former_replay(T.cross_entropy(logits, ids[:, 1:]) + 0.01 * aux)
 
 
 # ------------------------------------------------------------ scatter-adds
