@@ -97,7 +97,7 @@ def save_checkpoint(
             fh.write(_FIXED.pack(_VERSION, len(blob)))
             fh.write(blob)
             for _, arr in arrays:
-                fh.write(arr.tobytes())
+                fh.write(arr)  # the contiguous buffer itself; tobytes() would copy it
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(partial, path)

@@ -41,8 +41,6 @@ __all__ = [
     "reduce_to_single_expert",
 ]
 
-_MASK_FILL = -1e30  # finite, but exp(-1e30 - max) underflows to exactly 0.0
-_NORM_EPS = 1e-6
 _MAX_REL_DISTANCE = 128
 
 
@@ -103,32 +101,24 @@ def attention_with_relative_bias(q: Tensor, k: Tensor, v: Tensor, bias_table: Te
     ``q``, ``k``, ``v`` are [..., n_heads, S, d_head]; ``bias_table`` is
     [n_heads, n_buckets].  Masked (future) positions receive a -1e30 additive
     score, which underflows to an exactly-zero attention weight, so causality
-    is exact rather than approximate.
+    is exact rather than approximate.  One tape node (``T.causal_attention``).
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise T.ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
-    n_heads, seq_len, d_head = q.shape[-3], q.shape[-2], q.shape[-1]
+    n_heads, seq_len = q.shape[-3], q.shape[-2]
     if bias_table.shape[0] != n_heads:
         raise T.ShapeError(f"bias table {bias_table.shape} does not match n_heads={n_heads}")
-
-    scores = T.matmul(q, k.swap_last2()) * (1.0 / math.sqrt(d_head))
-    buckets = relative_buckets(seq_len, bias_table.shape[1])
-    rows = T.embedding(bias_table.transpose((1, 0)), buckets.reshape(-1))
-    bias = rows.transpose((1, 0)).reshape((n_heads, seq_len, seq_len))
-    mask = np.where(np.arange(seq_len)[:, None] >= np.arange(seq_len), 0.0, _MASK_FILL)
-    weights = T.softmax(scores + bias + Tensor(mask), axis=-1)
-    return T.matmul(weights, v)
+    return T.causal_attention(q, k, v, bias_table, relative_buckets(seq_len, bias_table.shape[1]))
 
 
 def geglu_ffn(x: Tensor, wa: Tensor, wb: Tensor, wout: Tensor) -> Tensor:
-    """Gated-GELU feed-forward: (GELU(x @ wa) * (x @ wb)) @ wout."""
-    return T.matmul(T.gelu(T.matmul(x, wa)) * T.matmul(x, wb), wout)
+    """Gated-GELU feed-forward: (GELU(x @ wa) * (x @ wb)) @ wout, as one tape node."""
+    return T.gelu_ffn(x, wa, wout, gate=wb)
 
 
 def rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
-    """Root-mean-square normalization over the last axis with a learned scale."""
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x * (ms + _NORM_EPS) ** -0.5 * scale
+    """Root-mean-square normalization over the last axis with a learned scale, as one tape node."""
+    return T.rms_norm(x, scale)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

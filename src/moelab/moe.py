@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, concat, embedding, gelu, matmul, softmax, take_along_last
+from .tensor import Tensor, concat, embedding, gelu_ffn, matmul, softmax, take_along_last
 
 __all__ = [
     "DispatchStats",
@@ -57,7 +57,8 @@ class ExpertFFN:
 
     With stacked [k, M, H] and [k, H, M] weights it runs k experts on a
     [k, C, M] buffer as one batched product; [M, H] and [H, M] weights are one
-    expert, broadcast over any leading axes of its input.
+    expert, broadcast over any leading axes of its input.  One call is one
+    tape node.
     """
 
     def __init__(self, w_in: Tensor, w_out: Tensor):
@@ -65,7 +66,7 @@ class ExpertFFN:
         self.w_out = w_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(gelu(matmul(x, self.w_in)), self.w_out)
+        return gelu_ffn(x, self.w_in, self.w_out)
 
 
 def expert_capacity(n_tokens: int, n_experts: int, capacity_factor: float = 1.25) -> int:

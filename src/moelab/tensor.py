@@ -10,6 +10,15 @@ Interior gradients are transient: each lives in the pass's own map until its
 node is replayed, then is freed.  Only leaves (tensors with no parents on the
 tape) keep ``.grad``, and a repeated pass adds its gradient to it once more.
 
+The model's layers are single nodes with hand-written backwards: RMS norm,
+causal attention with the relative-position bias, the GELU feed-forward
+(stacked experts, one broadcast expert, or the gated GEGLU) and
+cross-entropy.  Each repeats, in the same order, the arithmetic of the
+composite of single ops it replaced, so its output is bit-identical to that
+composite's, and it keeps only the arrays its backward reads (the attention
+weights, not the score arrays they came from).  Their gradients agree with
+the composites' to rounding, not bit for bit.
+
 All math is double precision.  Nothing here prevents NaN or Inf from flowing
 through; detecting them is the caller's job (the trainer does exactly that).
 """
@@ -25,19 +34,23 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "ShapeError",
-    "gelu",
     "softmax",
     "log_softmax",
     "matmul",
     "embedding",
     "take_along_last",
     "concat",
+    "rms_norm",
+    "causal_attention",
+    "gelu_ffn",
     "cross_entropy",
     "grad_check",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_NORM_EPS = 1e-6
+_MASK_FILL = -1e30  # finite, but exp(-1e30 - max) underflows to exactly 0.0
 
 
 class ShapeError(ValueError):
@@ -151,17 +164,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        return _op(
-            np.subtract(self.data, other.data),
-            (self, lambda g: _unbroadcast(g, self.shape)),
-            (other, lambda g: _unbroadcast(-g, other.shape)),
-        )
-
-    def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other).__sub__(self)
-
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
         a_data, b_data = self.data, other.data
@@ -182,22 +184,6 @@ class Tensor:
             (other, lambda g: _unbroadcast(-g * a_data / (b_data * b_data), other.shape)),
         )
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return _as_tensor(other).__truediv__(self)
-
-    def __neg__(self) -> "Tensor":
-        return _op(-self.data, (self, lambda g: -g))
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        p = float(exponent)
-        x = self.data
-        return _op(x**p, (self, lambda g: g * p * x ** (p - 1.0)))
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
     # ---- structure -------------------------------------------------------
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
@@ -208,12 +194,6 @@ class Tensor:
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
         return _op(self.data.transpose(axes), (self, lambda g: g.transpose(inverse)))
-
-    def swap_last2(self) -> "Tensor":
-        if self.ndim < 2:
-            raise ShapeError(f"swap_last2 needs ndim >= 2, got shape {self.shape}")
-        axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
-        return self.transpose(axes)
 
     # ---- reductions ------------------------------------------------------
 
@@ -248,20 +228,34 @@ def _op(data: np.ndarray, *edges: tuple[Tensor, GradFn]) -> Tensor:
     return out
 
 
+def _joint_op(
+    data: np.ndarray,
+    parents: Sequence[Tensor],
+    back: Callable[[np.ndarray, list[bool]], Sequence[np.ndarray | None]],
+) -> Tensor:
+    """One tape node whose operands' gradients come from one ``back(g, wanted)`` call.
+
+    ``back`` returns a gradient for each parent whose ``wanted`` flag is set.
+    ``Tensor.backward`` calls a node's edges one after another with the same
+    ``g``: the first computes every gradient, and each edge hands out and
+    drops its own, so none outlives the node's replay.
+    """
+    wanted = [p.requires_grad for p in parents]
+    pending: dict[int, np.ndarray] = {}
+
+    def edge(i: int) -> GradFn:
+        def fn(g: np.ndarray) -> np.ndarray:
+            if not pending:
+                grads = zip(wanted, back(g, wanted))
+                pending.update((j, grad) for j, (want, grad) in enumerate(grads) if want)
+            return pending.pop(i)
+
+        return fn
+
+    return _op(data, *((p, edge(i)) for i, p in enumerate(parents)))
+
+
 # ---- nonlinearity and normalizing ops -------------------------------------
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error GELU: x * Phi(x), with Phi the standard normal CDF."""
-    x = _as_tensor(x)
-    xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-
-    def back(g: np.ndarray) -> np.ndarray:
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return g * (cdf + xd * pdf)
-
-    return _op(xd * cdf, (x, back))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -301,16 +295,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
+    return _op(
+        np.matmul(a_data, b_data),
+        (a, lambda g: _left_grad(g, b_data, a_data.shape)),
+        (b, lambda g: _right_grad(a_data, g, b_data.shape)),
+    )
 
-    def back_a(g: np.ndarray) -> np.ndarray:
-        ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
-        return _unbroadcast(ga, a_data.shape)
 
-    def back_b(g: np.ndarray) -> np.ndarray:
-        gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
-        return _unbroadcast(gb, b_data.shape)
+def _left_grad(g: np.ndarray, b: np.ndarray, a_shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of ``a`` in ``a @ b`` from the output gradient ``g``, summed to ``a_shape``."""
+    return _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a_shape)
 
-    return _op(np.matmul(a_data, b_data), (a, back_a), (b, back_b))
+
+def _right_grad(a: np.ndarray, g: np.ndarray, b_shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of ``b`` in ``a @ b`` from the output gradient ``g``, summed to ``b_shape``."""
+    return _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b_shape)
 
 
 # ---- gather / scatter ------------------------------------------------------
@@ -370,13 +369,119 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _op(np.concatenate([p.data for p in parts]), *edges)
 
 
+# ---- layers as single nodes ------------------------------------------------
+# Each forward repeats the arithmetic of the layer's composite of the ops above,
+# in the same order, so outputs are bit-identical to it; each node keeps only
+# the arrays its backward reads.
+
+
+def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
+    """x / sqrt(mean(x * x over the last axis) + 1e-6) * scale.
+
+    Keeps only the [..., 1] inverse root mean square besides its operands.
+    """
+    xd, sd = x.data, scale.data
+    r = ((xd * xd).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + _NORM_EPS) ** -0.5
+
+    def back(g: np.ndarray, wanted: list[bool]) -> tuple:
+        gx = gs = None
+        if wanted[0]:
+            gn = g * sd
+            dr = (gn * xd).sum(axis=-1, keepdims=True)
+            gx = gn * r - xd * (dr * (r * r * r) * (1.0 / xd.shape[-1]))
+        if wanted[1]:
+            gs = _unbroadcast(g * (xd * r), sd.shape)
+        return gx, gs
+
+    return _joint_op(xd * r * sd, (x, scale), back)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor, buckets: np.ndarray) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias + causal mask) v, with bias[h, i, j] = bias_table[h, buckets[i, j]].
+
+    ``q``, ``k``, ``v`` are [..., H, S, d]; ``buckets`` holds [S, S] bucket
+    ids.  A future key gets a -1e30 score, whose weight underflows to exactly
+    0.0.  The node keeps the attention weights and none of the scaled, biased
+    or masked score arrays.
+    """
+    qd, kd, vd, table = q.data, k.data, v.data, bias_table.data
+    seq = qd.shape[-2]
+    scale = 1.0 / math.sqrt(qd.shape[-1])
+    kt = np.swapaxes(kd, -1, -2)
+    w = np.matmul(qd, kt)
+    w *= scale
+    w += table[:, buckets]
+    w += np.where(np.arange(seq)[:, None] >= np.arange(seq), 0.0, _MASK_FILL)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def back(g: np.ndarray, wanted: list[bool]) -> tuple:
+        gv = _right_grad(w, g, vd.shape) if wanted[2] else None
+        gs = _left_grad(g, vd, w.shape)
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gt = None
+        if wanted[3]:
+            cells = np.arange(table.shape[0])[:, None, None] * table.shape[1] + buckets
+            gt = _scatter_add(cells, _unbroadcast(gs, gs.shape[-3:]), table.shape)
+        gs *= scale
+        gq = _left_grad(gs, kt, qd.shape) if wanted[0] else None
+        gk = np.swapaxes(_right_grad(qd, gs, kt.shape), -1, -2) if wanted[1] else None
+        return gq, gk, gv, gt
+
+    return _joint_op(np.matmul(w, vd), (q, k, v, bias_table), back)
+
+
+def gelu_ffn(x: Tensor, w_in: Tensor, w_out: Tensor, gate: Tensor | None = None) -> Tensor:
+    """GELU(x @ w_in) @ w_out, or with ``gate`` the GEGLU (GELU(x @ w_in) * (x @ gate)) @ w_out.
+
+    GELU is exact: h * Phi(h), with Phi the standard normal CDF.  Weights
+    broadcast as in ``matmul``: stacked [k, M, H] / [k, H, M] weights run k
+    experts on a [k, C, M] buffer, and [M, H] / [H, M] weights apply to every
+    leading index of ``x``.  The node keeps x @ w_in, its CDF and x @ gate;
+    the activations are recomputed in backward.
+    """
+    xd, win, wout = x.data, w_in.data, w_out.data
+    wg = None if gate is None else gate.data
+    h = np.matmul(xd, win)
+    cdf = 0.5 * (1.0 + erf(h * _INV_SQRT2))
+    hg = None if wg is None else np.matmul(xd, wg)
+
+    def hidden() -> tuple[np.ndarray, np.ndarray]:
+        act = h * cdf
+        return act, act if hg is None else act * hg
+
+    def back(g: np.ndarray, wanted: list[bool]) -> list:
+        act, u = hidden()
+        grads = [None, None, _right_grad(u, g, wout.shape) if wanted[2] else None]
+        du = _left_grad(g, wout, u.shape)
+        if hg is not None:
+            dhg = du * act
+            du = du * hg
+            grads.append(_right_grad(xd, dhg, wg.shape) if wanted[3] else None)
+        pdf = np.exp(-0.5 * h * h) * _INV_SQRT_2PI
+        dh = du * (cdf + h * pdf)
+        if wanted[1]:
+            grads[1] = _right_grad(xd, dh, win.shape)
+        if wanted[0]:
+            gx = _left_grad(dh, win, xd.shape)
+            grads[0] = gx if hg is None else gx + _left_grad(dhg, wg, xd.shape)
+        return grads
+
+    parents = (x, w_in, w_out) if gate is None else (x, w_in, w_out, gate)
+    return _joint_op(np.matmul(hidden()[1], wout), parents, back)
+
+
 # ---- losses ----------------------------------------------------------------
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` under ``logits``.
+    """Mean negative log-likelihood of ``targets`` under ``logits``, as one node.
 
     ``logits`` has shape [..., vocab]; ``targets`` matches the leading shape.
+    The node keeps the forward's exp(logits - max) and its row sums; the
+    gradient is (softmax - onehot) * g / N.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
@@ -387,9 +492,21 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise IndexError(
             f"target ids out of range [0, {vocab}): min={targets.min()}, max={targets.max()}"
         )
-    lsm = log_softmax(logits, axis=-1)
-    picked = take_along_last(lsm, targets[..., None].astype(np.intp))
-    return -picked.mean()
+    xd = logits.data
+    e = xd - xd.max(axis=-1, keepdims=True)
+    picked = np.take_along_axis(e, targets[..., None].astype(np.intp), axis=-1)
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
+    picked -= np.log(total)  # log-softmax at the targets
+    n = picked.size
+
+    def back(g: np.ndarray) -> np.ndarray:
+        grad = e / total
+        grad.reshape(-1, vocab)[np.arange(n), targets.reshape(-1)] -= 1.0
+        grad *= g * (1.0 / n)
+        return grad
+
+    return _op(-(picked.sum() * (1.0 / n)), (logits, back))
 
 
 # ---- verification ----------------------------------------------------------

@@ -199,6 +199,9 @@ def train_step(
         entry.skipped = True
         entry.step = state.step  # nothing advanced
         return entry
+    # stats.mean_gate_prob alone would hold the graph up to the MoE layer; free it all
+    # before the update's temporaries are allocated
+    del logits, aux, ce, loss, stats
     adafactor_step(state, params, grads, lr)
     return entry
 

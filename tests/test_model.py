@@ -199,18 +199,18 @@ def test_relative_buckets_pinned_table():
     assert buckets.dtype == np.intp and buckets[:, 0].tolist() == first_column
 
 
+def _square_sum(t):
+    return (t * t).sum()
+
+
 def test_attention_bias_grad_check():
     rng = np.random.default_rng(7)
     q = Tensor(rng.normal(size=(2, 4, 3)))
     k = Tensor(rng.normal(size=(2, 4, 3)))
     v = Tensor(rng.normal(size=(2, 4, 3)))
     table = Tensor(rng.normal(size=(2, 6)))
-    assert grad_check(
-        lambda t: (attention_with_relative_bias(q, k, v, t) ** 2.0).sum(), table
-    ) < 1e-4
-    assert grad_check(
-        lambda t: (attention_with_relative_bias(t, k, v, table) ** 2.0).sum(), q
-    ) < 1e-4
+    assert grad_check(lambda t: _square_sum(attention_with_relative_bias(q, k, v, t)), table) < 1e-4
+    assert grad_check(lambda t: _square_sum(attention_with_relative_bias(t, k, v, table)), q) < 1e-4
 
 
 def test_geglu_values_and_grad():
@@ -225,7 +225,7 @@ def test_geglu_values_and_grad():
     assert np.all(zero_b.data == 0.0)
 
     x = Tensor(rng.normal(size=(4, 3)))
-    assert grad_check(lambda t: (geglu_ffn(t, wa, wb, wout) ** 2.0).sum(), x) < 1e-4
+    assert grad_check(lambda t: _square_sum(geglu_ffn(t, wa, wb, wout)), x) < 1e-4
 
 
 def test_rmsnorm_scale_and_grad():
@@ -234,7 +234,7 @@ def test_rmsnorm_scale_and_grad():
     y = rmsnorm(x, Tensor(np.ones(4)))
     rms = np.sqrt((y.data**2).mean(axis=-1))
     assert np.max(np.abs(rms - 1.0)) < 1e-4  # eps shifts it slightly
-    assert grad_check(lambda t: (rmsnorm(t, Tensor(np.ones(4))) ** 2.0).sum(), x) < 1e-4
+    assert grad_check(lambda t: _square_sum(rmsnorm(t, Tensor(np.ones(4)))), x) < 1e-4
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import errno
+import gc
+import hashlib
 import json
 import math
 
@@ -231,6 +233,22 @@ def test_train_step_skips_on_nonfinite_gradient():
     assert params_checksum(model.params()) == checksum
 
 
+def test_train_step_frees_the_graph_before_the_update(monkeypatch):
+    # a graph still alive during the update would add its arrays to the optimizer's temporaries
+    update = trainer.adafactor_step
+    alive = []
+
+    def watched_update(*args):
+        alive.append(sum(isinstance(obj, Tensor) and bool(obj._parents) for obj in gc.get_objects()))
+        return update(*args)
+
+    monkeypatch.setattr(trainer, "adafactor_step", watched_update)
+    model = build(tiny_config(), seed=3)
+    gc.collect()
+    train_step(model, tiny_batch(np.random.default_rng(5)), AdafactorState(), lr=0.01)
+    assert alive == [0]
+
+
 def test_train_step_rejects_short_batch():
     model = build(tiny_config(), seed=3)
     with pytest.raises(ConfigError):
@@ -282,6 +300,16 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     save_checkpoint(a, config, model.params(), meta={"step": 0})
     save_checkpoint(b, config, model.params(), meta={"step": 0})
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_bytes_equal_the_copying_writer(tmp_path):
+    # the sha256 of the file that writing each array's tobytes() copy produced for these inputs
+    config = tiny_config()
+    opt_arrays = {"step": np.array([3]), "embed@row": np.arange(6.0).reshape(2, 3).T}  # a strided view
+    path = tmp_path / "snap.ckpt"
+    save_checkpoint(path, config, build(config, seed=11).params(), opt_arrays=opt_arrays, meta={"step": 3})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "a0d766f0c6147a2ae8f6bc02a53771e2c88ab3865080a3daf2f7d0192ee61854"
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
