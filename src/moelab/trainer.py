@@ -14,8 +14,10 @@ under a fresh seed.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import platform
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,6 +47,8 @@ __all__ = [
 _EPS_ACCUM = 1e-30  # keeps zero gradients from dividing zero by zero
 _CLIP_THRESHOLD = 1.0  # update RMS above this is scaled back down to it
 _HISTORY_WINDOW = 50  # trailing losses whose median judges divergence
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
+_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for its own dynamic mmap threshold on 64-bit
 
 
 def beta2_hat(t: int) -> float:
@@ -96,6 +100,12 @@ class AdafactorState:
         return state
 
 
+def _mean(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.mean(axis=axis)`` bit for bit (the same sum, then one true division),
+    without numpy's Python-level wrapper, which dominates on small arrays."""
+    return np.add.reduce(x, axis=axis) / x.shape[axis]
+
+
 def adafactor_step(
     state: AdafactorState,
     params: dict[str, Tensor],
@@ -118,13 +128,14 @@ def adafactor_step(
         if g.ndim >= 2:
             row = slot.get("row")
             col = slot.get("col")
-            new_row = sq.mean(axis=-1) if row is None else b2 * row + (1 - b2) * sq.mean(axis=-1)
-            new_col = sq.mean(axis=-2) if col is None else b2 * col + (1 - b2) * sq.mean(axis=-2)
+            row_mean, col_mean = _mean(sq, -1), _mean(sq, -2)
+            new_row = row_mean if row is None else b2 * row + (1 - b2) * row_mean
+            new_col = col_mean if col is None else b2 * col + (1 - b2) * col_mean
             slot["row"], slot["col"] = new_row, new_col
             # v_ij = row_i * col_j / mean(row) per matrix slice, exact for rank-one squared
             # gradients; built in sq's spent buffer so a stacked tensor adds few temporaries
             vhat = np.multiply(new_row[..., :, None], new_col[..., None, :], out=sq)
-            vhat /= new_row.mean(axis=-1)[..., None, None]
+            vhat /= _mean(new_row, -1)[..., None, None]
         else:
             full = slot.get("full")
             new_full = sq if full is None else b2 * full + (1 - b2) * sq
@@ -132,7 +143,7 @@ def adafactor_step(
             vhat = new_full.copy()
         update = np.divide(g, np.sqrt(vhat, out=vhat), out=vhat)
         lead = g.shape[:-2]  # one RMS clip per trailing matrix slice, or one for a vector
-        rms = np.sqrt((update * update).reshape(lead + (-1,)).mean(axis=-1))
+        rms = np.sqrt(_mean((update * update).reshape(lead + (-1,)), -1))
         update /= np.maximum(1.0, rms / _CLIP_THRESHOLD).reshape(lead + (1,) * (g.ndim - len(lead)))
         update *= lr
         p.data = p.data - update
@@ -151,7 +162,12 @@ class TrainLogEntry:
     dropped_tokens: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
+        """One RFC 8259 JSON line; a non-finite loss, as a rolled-back step has, is null."""
+        fields = dict(self.__dict__)
+        for key in ("loss", "aux_loss"):
+            if not math.isfinite(fields[key]):
+                fields[key] = None
+        return json.dumps(fields, sort_keys=True, allow_nan=False)
 
 
 def train_step(
@@ -267,6 +283,25 @@ class CheckpointManager:
 BatchSource = Callable[[int], Iterator[np.ndarray]]
 
 
+def _keep_freed_heap() -> None:
+    """Make glibc keep freed arrays in the heap for the next train step to reuse.
+
+    By default glibc maps each array above 128 KiB on its own and returns the
+    heap top to the kernel once 128 KiB sit free there, so every step's freed
+    graph is unmapped and the next step faults the same pages back in.  This
+    raises the mmap threshold to glibc's own 64-bit ceiling and the trim
+    threshold to twice that, glibc's own ratio.  Only where arrays live moves;
+    no arithmetic does.  The setting lasts for the rest of the process.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def train(
     model: TransformerLM,
     batch_source: BatchSource,
@@ -287,6 +322,11 @@ def train(
     A ``manager`` writes a checkpoint before the first update, after every
     ``interval``-th and after the last.  If ``10 * steps + 100`` tries (skips
     and rollbacks count) leave updates undone, ConfigError is raised.
+
+    On glibc, ``train`` first sets malloc's mmap threshold to 32 MiB and its
+    trim threshold to 64 MiB for the rest of the process, so each step reuses
+    the heap the previous step freed instead of faulting it back in; results
+    do not change.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -297,6 +337,7 @@ def train(
     warmup = warmup_steps if warmup_steps is not None else max(10, steps // 100)
     if warmup < 1:
         raise ConfigError(f"warmup_steps must be >= 1, got {warmup}")
+    _keep_freed_heap()
     state = AdafactorState()
     data_seed = substream_seed(seed, "data")
     batches = batch_source(data_seed)

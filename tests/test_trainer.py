@@ -6,6 +6,9 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
+import platform
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -199,6 +202,52 @@ def test_state_arrays_round_trip():
     for name, parts in state.accum.items():
         for kind, arr in parts.items():
             assert np.array_equal(back.accum[name][kind], arr)
+
+
+def _former_adafactor_step(state, params, grads, lr):
+    """The update rule as it was with ``ndarray.mean``, kept as the reference."""
+    state.step += 1
+    b2 = beta2_hat(state.step)
+    for name, p in params.items():
+        g = grads[name]
+        sq = g * g + 1e-30
+        slot = state.accum.setdefault(name, {})
+        if g.ndim >= 2:
+            row = slot.get("row")
+            col = slot.get("col")
+            new_row = sq.mean(axis=-1) if row is None else b2 * row + (1 - b2) * sq.mean(axis=-1)
+            new_col = sq.mean(axis=-2) if col is None else b2 * col + (1 - b2) * sq.mean(axis=-2)
+            slot["row"], slot["col"] = new_row, new_col
+            vhat = np.multiply(new_row[..., :, None], new_col[..., None, :], out=sq)
+            vhat /= new_row.mean(axis=-1)[..., None, None]
+        else:
+            full = slot.get("full")
+            new_full = sq if full is None else b2 * full + (1 - b2) * sq
+            slot["full"] = new_full
+            vhat = new_full.copy()
+        update = np.divide(g, np.sqrt(vhat, out=vhat), out=vhat)
+        lead = g.shape[:-2]
+        rms = np.sqrt((update * update).reshape(lead + (-1,)).mean(axis=-1))
+        update /= np.maximum(1.0, rms).reshape(lead + (1,) * (g.ndim - len(lead)))
+        update *= lr
+        p.data = p.data - update
+    return params
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 9), (4, 6, 11)], ids=["vector", "matrix", "stacked"])
+def test_update_is_bit_equal_to_the_former_mean_rule(shape):
+    rng = np.random.default_rng(len(shape))
+    init = rng.normal(size=shape)
+    new, old = Tensor(init.copy(), requires_grad=True), Tensor(init.copy(), requires_grad=True)
+    state_new, state_old = AdafactorState(), AdafactorState()
+    for _ in range(4):
+        g = rng.normal(size=shape) * rng.uniform(0.01, 100.0)
+        adafactor_step(state_new, {"w": new}, {"w": g}, lr=0.05)
+        _former_adafactor_step(state_old, {"w": old}, {"w": g.copy()}, lr=0.05)
+        assert new.data.tobytes() == old.data.tobytes()
+        assert state_new.accum["w"].keys() == state_old.accum["w"].keys()
+        for kind, arr in state_old.accum["w"].items():
+            assert state_new.accum["w"][kind].tobytes() == arr.tobytes()
 
 
 # ---------------------------------------------------------------- train_step
@@ -494,6 +543,10 @@ def test_train_is_bit_reproducible(tmp_path):
     assert checksums[0] == checksums[1]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def test_train_recovers_from_injected_nan(tmp_path):
     model = build(tiny_config(), seed=8)
     manager = CheckpointManager(tmp_path, interval=5)
@@ -507,7 +560,8 @@ def test_train_recovers_from_injected_nan(tmp_path):
                 model.params()["embed"].data[0, 0] = np.nan
             yield batch
 
-    entries = train(model, source, steps=10, seed=1, warmup_steps=5, manager=manager)
+    log = tmp_path / "train_log.jsonl"
+    entries = train(model, source, steps=10, seed=1, warmup_steps=5, manager=manager, log_path=log)
     assert manager.rollbacks == 1
     assert sum(e.rollback for e in entries) == 1
     assert sum(not e.skipped for e in entries) >= 10
@@ -516,6 +570,10 @@ def test_train_recovers_from_injected_nan(tmp_path):
     # the rolled-back entry reset progress to the step-0 checkpoint
     final = load_checkpoint(manager.last_path)
     assert final.meta["step"] == 10
+    # the log stays strict JSON: the rolled-back step's NaN loss is written as null
+    logged = [json.loads(line, parse_constant=_refuse_constant) for line in log.read_text().splitlines()]
+    assert len(logged) == len(entries)
+    assert [e["loss"] for e in logged if e["rollback"]] == [None]
 
 
 @pytest.mark.parametrize("steps, written", [(10, [0, 5, 10]), (12, [0, 5, 10, 12])])
@@ -540,6 +598,44 @@ def test_train_raises_when_its_tries_run_out(tmp_path):
         train(build(tiny_config(), seed=8), _repeat_source(), steps=20, seed=1, peak_lr=100, manager=manager)
     assert manager.rollbacks == 150
     assert load_checkpoint(manager.last_path).meta["step"] == 0
+
+
+# train-moe32 geometry: its arrays are larger than glibc's default 128 KiB mmap threshold
+_MOE32 = dict(n_layers=2, d_model=32, d_ff=64, n_heads=2, d_head=16, n_experts=32, seq_len=64, batch_size=8)
+
+
+def _moe32_checksum(steps, on_request=lambda: None):
+    model = build(ModelConfig(**_MOE32), seed=4)
+
+    def source(seed):
+        rng = np.random.default_rng(seed)
+        while True:
+            on_request()
+            yield rng.integers(0, model.config.vocab_size, size=(_MOE32["batch_size"], _MOE32["seq_len"] + 1))
+
+    train(model, source, steps=steps, seed=2)
+    return params_checksum(model.params())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds train sets are glibc's")
+def test_steady_train_steps_reuse_their_freed_heap():
+    import resource
+
+    faults = []
+
+    def read():
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    _moe32_checksum(30, on_request=read)
+    read()  # the end of step 30
+    per_step = (faults[30] - faults[10]) / 20
+    assert per_step < 50, f"{per_step:.0f} minor page faults per steady-state step"
+
+
+def test_train_at_heap_scale_gives_the_same_params_in_a_fresh_process():
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        fresh = pool.submit(_moe32_checksum, 10).result(timeout=600)
+    assert _moe32_checksum(10) == fresh
 
 
 def test_train_rejects_bad_step_count():
