@@ -98,17 +98,15 @@ def relative_buckets(seq_len: int, n_buckets: int) -> np.ndarray:
 def attention_with_relative_bias(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor) -> Tensor:
     """Causal multi-head attention with an additive relative-position bias.
 
-    ``q``, ``k``, ``v`` are [..., n_heads, S, d_head]; ``bias_table`` is
-    [n_heads, n_buckets].  Masked (future) positions receive a -1e30 additive
-    score, which underflows to an exactly-zero attention weight, so causality
-    is exact rather than approximate.  One tape node (``T.causal_attention``).
+    ``q``, ``k``, ``v`` are [..., S, n_heads * d_head]; ``bias_table`` is
+    [n_heads, n_buckets], and its rows set the head count.  Masked (future)
+    positions receive a -1e30 additive score, which underflows to an
+    exactly-zero attention weight, so causality is exact rather than
+    approximate.  One tape node (``T.causal_attention``).
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise T.ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
-    n_heads, seq_len = q.shape[-3], q.shape[-2]
-    if bias_table.shape[0] != n_heads:
-        raise T.ShapeError(f"bias table {bias_table.shape} does not match n_heads={n_heads}")
-    return T.causal_attention(q, k, v, bias_table, relative_buckets(seq_len, bias_table.shape[1]))
+    return T.causal_attention(q, k, v, bias_table, relative_buckets(q.shape[-2], bias_table.shape[1]))
 
 
 def geglu_ffn(x: Tensor, wa: Tensor, wb: Tensor, wout: Tensor) -> Tensor:
@@ -183,12 +181,9 @@ class TransformerLM:
         for i in range(cfg.n_layers):
             layer = f"layer{i}"
             h = rmsnorm(x, p[f"{layer}.norm_attn"])
-            q = self._heads(T.matmul(h, p[f"{layer}.wq"]), batch, seq)
-            k = self._heads(T.matmul(h, p[f"{layer}.wk"]), batch, seq)
-            v = self._heads(T.matmul(h, p[f"{layer}.wv"]), batch, seq)
+            q, k, v = (T.matmul(h, p[f"{layer}.{w}"]) for w in ("wq", "wk", "wv"))
             attended = attention_with_relative_bias(q, k, v, p[f"{layer}.bias_table"])
-            merged = attended.transpose((0, 2, 1, 3)).reshape((batch, seq, cfg.n_heads * cfg.d_head))
-            x = x + T.matmul(merged, p[f"{layer}.wo"])
+            x = x + T.matmul(attended, p[f"{layer}.wo"])
 
             h2 = rmsnorm(x, p[f"{layer}.norm_ffn"])
             gate = p.get(f"{layer}.gate")  # an MoE layer, with one expert per gate column
@@ -209,10 +204,6 @@ class TransformerLM:
         else:
             aux = Tensor(0.0)
         return logits, aux, stats_list
-
-    def _heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        cfg = self.config
-        return x.reshape((batch, seq, cfg.n_heads, cfg.d_head)).transpose((0, 2, 1, 3))
 
 
 def build(config: ModelConfig, seed: int) -> TransformerLM:

@@ -56,9 +56,10 @@ class ExpertFFN:
     """Two-matrix feed-forward experts: GELU between w_in and w_out.
 
     With stacked [k, M, H] and [k, H, M] weights it runs k experts on a
-    [k, C, M] buffer as one batched product; [M, H] and [H, M] weights are one
-    expert, broadcast over any leading axes of its input.  One call is one
-    tape node.
+    [k, C, M] buffer as one batched product, as each model MoE layer does;
+    [M, H] and [H, M] weights are one expert, broadcast over any leading axes
+    of its input; only perfbench's MoE-in-E curve and tests build those.  One
+    call is one tape node.
     """
 
     def __init__(self, w_in: Tensor, w_out: Tensor):
@@ -123,7 +124,8 @@ def moe_forward(
 
     E is the gate's column count.  The callables in ``experts`` split the E
     experts into equal consecutive blocks of k = E / len(experts): one callable
-    over stacked weights runs them all, E callables run one each.  Each
+    over stacked weights runs them all (the model, ``simulate_sharded``); E
+    callables run one each (only perfbench's MoE-in-E curve and tests).  Each
     callable gets its block's [k, C, M] buffer, C = min(max(capacity, 2), T):
     per expert its kept tokens in slot order, then padding rows that are never
     combined, and returns [k, C, M].  Buffer shapes depend only on (T, E,

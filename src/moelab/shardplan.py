@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,9 +55,6 @@ class Mesh:
 
     def device(self, ix: int, iy: int) -> int:
         return ix * self.y + iy
-
-    def coords(self, device: int) -> tuple[int, int]:
-        return divmod(device, self.y)
 
 
 @dataclass
@@ -181,34 +177,27 @@ def per_device_memory(plan_: ShardPlan, bytes_per_element: int = 8) -> dict[int,
 def simulate_sharded(
     tokens: np.ndarray,
     gate_weights: np.ndarray,
-    expert_weights: Sequence[tuple[np.ndarray, np.ndarray]],
+    w_in: np.ndarray,
+    w_out: np.ndarray,
     mesh: Mesh,
     capacity_factor: float = 1.25,
 ) -> np.ndarray:
-    """Run one MoE layer with H split across mesh rows, summing partials.
+    """Run one MoE layer over stacked [E, M, H] / [E, H, M] experts, H split across mesh rows.
 
-    Routing is ``moe_forward``'s own; only the expert matmuls are sharded,
-    each expert summing the outputs of its H slices over the mesh rows.
+    Routing is ``moe_forward``'s own.  Its one expert callable sums, over
+    the mesh rows, one stacked ``ExpertFFN`` on each row's H slice.
     Output should match the unsharded layer to ~1e-10.
     """
-    E = len(expert_weights)
-    M, H = expert_weights[0][0].shape
+    E, _, H = w_in.shape
     if E % mesh.x:
         raise PlanningError(f"experts E={E} not divisible by mesh X={mesh.x}")
     if H % mesh.y:
         raise PlanningError(f"hidden H={H} not divisible by mesh Y={mesh.y}")
+    spans = sorted({h for _, _, h in _partition(w_in.shape, 0, 2, mesh).values()})
+    rows = [ExpertFFN(Tensor(w_in[..., lo:hi]), Tensor(w_out[:, lo:hi])) for lo, hi in spans]
 
-    shards: list[list[ExpertFFN]] = [[] for _ in range(E)]
-    boxes = _partition((E, M, H), 0, 2, mesh)
-    for dev in sorted(boxes):  # ids ascend by row within a column: slices arrive in row order
-        (first, stop), _, (lo, hi) = boxes[dev]
-        for e in range(first, stop):
-            w_in, w_out = expert_weights[e]
-            shards[e].append(ExpertFFN(Tensor(w_in[:, lo:hi]), Tensor(w_out[lo:hi])))
+    def summed(x: Tensor) -> Tensor:
+        return sum((row(x) for row in rows[1:]), rows[0](x))
 
-    def summed(parts: list[ExpertFFN]):
-        return lambda x: sum((shard(x) for shard in parts[1:]), parts[0](x))
-
-    experts = [summed(parts) for parts in shards]
-    out, _ = moe_forward(Tensor(tokens), experts, Tensor(gate_weights), capacity_factor)
+    out, _ = moe_forward(Tensor(tokens), [summed], Tensor(gate_weights), capacity_factor)
     return out.data

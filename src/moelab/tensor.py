@@ -397,16 +397,25 @@ def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor, buckets: np.ndarray) -> Tensor:
-    """softmax(q k^T / sqrt(d) + bias + causal mask) v, with bias[h, i, j] = bias_table[h, buckets[i, j]].
+    """softmax(q k^T / sqrt(d) + bias + causal mask) v per head, with bias[h, i, j] = bias_table[h, buckets[i, j]].
 
-    ``q``, ``k``, ``v`` are [..., H, S, d]; ``buckets`` holds [S, S] bucket
-    ids.  A future key gets a -1e30 score, whose weight underflows to exactly
-    0.0.  The node keeps the attention weights and none of the scaled, biased
-    or masked score arrays.
+    ``q``, ``k``, ``v`` and the output are [..., S, H * d], heads side by side,
+    H = ``bias_table.shape[0]``; ``buckets`` holds [S, S] bucket ids.  A future
+    key's -1e30 score underflows to a weight of exactly 0.0.  The node keeps
+    the attention weights, none of the scaled, biased or masked score arrays.
     """
-    qd, kd, vd, table = q.data, k.data, v.data, bias_table.data
-    seq = qd.shape[-2]
-    scale = 1.0 / math.sqrt(qd.shape[-1])
+    heads, seq, width = bias_table.shape[0], q.shape[-2], q.shape[-1]
+    if width % heads:
+        raise ShapeError(f"width {width} does not split into {heads} heads")
+
+    def split(x: np.ndarray) -> np.ndarray:  # [..., S, H * d] -> [..., H, S, d]
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, width // heads)), -2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # [..., H, S, d] -> [..., S, H * d]
+        return np.swapaxes(x, -2, -3).reshape(x.shape[:-3] + (seq, width))
+
+    qd, kd, vd, table = split(q.data), split(k.data), split(v.data), bias_table.data
+    scale = 1.0 / math.sqrt(width // heads)
     kt = np.swapaxes(kd, -1, -2)
     w = np.matmul(qd, kt)
     w *= scale
@@ -417,20 +426,21 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor, bucket
     w /= w.sum(axis=-1, keepdims=True)
 
     def back(g: np.ndarray, wanted: list[bool]) -> tuple:
-        gv = _right_grad(w, g, vd.shape) if wanted[2] else None
+        g = split(g)
+        gv = merge(_right_grad(w, g, vd.shape)) if wanted[2] else None
         gs = _left_grad(g, vd, w.shape)
         gs -= (gs * w).sum(axis=-1, keepdims=True)
         gs *= w
         gt = None
         if wanted[3]:
-            cells = np.arange(table.shape[0])[:, None, None] * table.shape[1] + buckets
+            cells = np.arange(heads)[:, None, None] * table.shape[1] + buckets
             gt = _scatter_add(cells, _unbroadcast(gs, gs.shape[-3:]), table.shape)
         gs *= scale
-        gq = _left_grad(gs, kt, qd.shape) if wanted[0] else None
-        gk = np.swapaxes(_right_grad(qd, gs, kt.shape), -1, -2) if wanted[1] else None
+        gq = merge(_left_grad(gs, kt, qd.shape)) if wanted[0] else None
+        gk = merge(np.swapaxes(_right_grad(qd, gs, kt.shape), -1, -2)) if wanted[1] else None
         return gq, gk, gv, gt
 
-    return _joint_op(np.matmul(w, vd), (q, k, v, bias_table), back)
+    return _joint_op(merge(np.matmul(w, vd)), (q, k, v, bias_table), back)
 
 
 def gelu_ffn(x: Tensor, w_in: Tensor, w_out: Tensor, gate: Tensor | None = None) -> Tensor:

@@ -73,31 +73,21 @@ def lr_schedule(t: int, warmup_steps: int = 10_000, peak: float = 0.01) -> float
 class AdafactorState:
     """Per-parameter second-moment accumulators plus the shared step count.
 
-    Arrays of two or more axes hold factored "row" (mean over the last axis)
-    and "col" (mean over the second-to-last) accumulators, one pair per
-    trailing matrix slice; vectors and scalars hold a full accumulator.
+    ``accum`` holds checkpoint keys: an array of two or more axes has
+    factored ``name@row`` (mean over the last axis) and ``name@col`` (mean
+    over the second-to-last) accumulators, one pair per trailing matrix
+    slice; a vector or scalar has a full ``name@full`` accumulator.
     """
 
     step: int = 0
-    accum: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    accum: dict[str, np.ndarray] = field(default_factory=dict)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"step": np.array([self.step], dtype=np.int64)}
-        for name, parts in self.accum.items():
-            for kind, arr in parts.items():
-                out[f"{name}@{kind}"] = arr
-        return out
+        return {"step": np.array([self.step], dtype=np.int64), **self.accum}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]):
-        state = cls()
-        for key, arr in arrays.items():
-            if key == "step":
-                state.step = int(arr[0])
-                continue
-            name, kind = key.rsplit("@", 1)
-            state.accum.setdefault(name, {})[kind] = arr.astype(np.float64).copy()
-        return state
+        return cls(int(arrays["step"][0]), {k: a.astype(np.float64) for k, a in arrays.items() if k != "step"})
 
 
 def _mean(x: np.ndarray, axis: int) -> np.ndarray:
@@ -118,28 +108,26 @@ def adafactor_step(
     would be one by one: factored accumulators and the RMS clip are per slice.
     """
     state.step += 1
-    b2 = beta2_hat(state.step)
+    b2, accum = beta2_hat(state.step), state.accum
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ConfigError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
         sq = g * g + _EPS_ACCUM
-        slot = state.accum.setdefault(name, {})
         if g.ndim >= 2:
-            row = slot.get("row")
-            col = slot.get("col")
+            row, col = accum.get(f"{name}@row"), accum.get(f"{name}@col")
             row_mean, col_mean = _mean(sq, -1), _mean(sq, -2)
             new_row = row_mean if row is None else b2 * row + (1 - b2) * row_mean
             new_col = col_mean if col is None else b2 * col + (1 - b2) * col_mean
-            slot["row"], slot["col"] = new_row, new_col
+            accum[f"{name}@row"], accum[f"{name}@col"] = new_row, new_col
             # v_ij = row_i * col_j / mean(row) per matrix slice, exact for rank-one squared
             # gradients; built in sq's spent buffer so a stacked tensor adds few temporaries
             vhat = np.multiply(new_row[..., :, None], new_col[..., None, :], out=sq)
             vhat /= _mean(new_row, -1)[..., None, None]
         else:
-            full = slot.get("full")
+            full = accum.get(f"{name}@full")
             new_full = sq if full is None else b2 * full + (1 - b2) * sq
-            slot["full"] = new_full
+            accum[f"{name}@full"] = new_full
             vhat = new_full.copy()
         update = np.divide(g, np.sqrt(vhat, out=vhat), out=vhat)
         lead = g.shape[:-2]  # one RMS clip per trailing matrix slice, or one for a vector

@@ -553,6 +553,7 @@ def test_criterion_13_sharded_layer_matches_the_reference():
         (4, Mesh(2, 2), 8, 16),
         (4, Mesh(4, 1), 8, 8),
         (4, Mesh(1, 4), 8, 8),
+        (32, Mesh(4, 2), 8, 8),
     ]
     for E, mesh, M, H in cases:
         for _ in range(3):
@@ -562,9 +563,10 @@ def test_criterion_13_sharded_layer_matches_the_reference():
                 (rng.normal(scale=0.5, size=(M, H)), rng.normal(scale=0.5, size=(H, M)))
                 for _ in range(E)
             ]
-            experts = [ExpertFFN(T.Tensor(w_in), T.Tensor(w_out)) for w_in, w_out in weights]
-            reference, _ = moe_forward(T.Tensor(tokens), experts, T.Tensor(gate))
-            sharded = simulate_sharded(tokens, gate, weights, mesh)
+            w_in, w_out = (np.stack(ws) for ws in zip(*weights))
+            # the layer as the model runs it: one stacked ExpertFFN
+            reference, _ = moe_forward(T.Tensor(tokens), [ExpertFFN(T.Tensor(w_in), T.Tensor(w_out))], T.Tensor(gate))
+            sharded = simulate_sharded(tokens, gate, w_in, w_out, mesh)
             assert np.max(np.abs(sharded - reference.data)) < 1e-10, (E, mesh)
 
 

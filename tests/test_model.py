@@ -143,12 +143,17 @@ def _plain_causal_attention(q, k, v):
     return out
 
 
+def _split_heads(x, heads):
+    """[S, H * d] -> [H, S, d]."""
+    return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+
 def test_attention_zero_bias_matches_plain_oracle():
     rng = np.random.default_rng(6)
-    q, k, v = (Tensor(rng.normal(size=(2, 6, 3))) for _ in range(3))
+    q, k, v = (Tensor(rng.normal(size=(6, 2 * 3))) for _ in range(3))  # S=6, two heads of d=3
     table = Tensor(np.zeros((2, 8)))
-    got = attention_with_relative_bias(q, k, v, table).data
-    want = _plain_causal_attention(q.data, k.data, v.data)
+    got = _split_heads(attention_with_relative_bias(q, k, v, table).data, 2)
+    want = _plain_causal_attention(*(_split_heads(t.data, 2) for t in (q, k, v)))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -205,9 +210,9 @@ def _square_sum(t):
 
 def test_attention_bias_grad_check():
     rng = np.random.default_rng(7)
-    q = Tensor(rng.normal(size=(2, 4, 3)))
-    k = Tensor(rng.normal(size=(2, 4, 3)))
-    v = Tensor(rng.normal(size=(2, 4, 3)))
+    q = Tensor(rng.normal(size=(4, 2 * 3)))  # S=4, two heads of d=3
+    k = Tensor(rng.normal(size=(4, 2 * 3)))
+    v = Tensor(rng.normal(size=(4, 2 * 3)))
     table = Tensor(rng.normal(size=(2, 6)))
     assert grad_check(lambda t: _square_sum(attention_with_relative_bias(q, k, v, t)), table) < 1e-4
     assert grad_check(lambda t: _square_sum(attention_with_relative_bias(t, k, v, table)), q) < 1e-4

@@ -180,12 +180,14 @@ def test_comm_volume_matches_monte_carlo():
 
 
 def _random_layer(rng, E, M, H):
+    """A gate and stacked [E, M, H] / [E, H, M] expert weights, drawn expert by expert."""
     gate = rng.normal(scale=0.5, size=(M, E))
     experts_np = [
         (rng.normal(scale=0.5, size=(M, H)), rng.normal(scale=0.5, size=(H, M)))
         for _ in range(E)
     ]
-    return gate, experts_np
+    w_in, w_out = (np.stack(ws) for ws in zip(*experts_np))
+    return gate, w_in, w_out
 
 
 def test_sharded_layer_matches_reference():
@@ -200,10 +202,9 @@ def test_sharded_layer_matches_reference():
     for E, mesh, M, H in cases:
         for _ in range(3):
             tokens = rng.normal(size=(16, M))
-            gate, experts_np = _random_layer(rng, E, M, H)
-            experts = [ExpertFFN(Tensor(w_in), Tensor(w_out)) for w_in, w_out in experts_np]
-            reference, _ = moe_forward(Tensor(tokens), experts, Tensor(gate))
-            sharded = simulate_sharded(tokens, gate, experts_np, mesh)
+            gate, w_in, w_out = _random_layer(rng, E, M, H)
+            reference, _ = moe_forward(Tensor(tokens), [ExpertFFN(Tensor(w_in), Tensor(w_out))], Tensor(gate))
+            sharded = simulate_sharded(tokens, gate, w_in, w_out, mesh)
             assert np.max(np.abs(sharded - reference.data)) < 1e-10, (E, mesh)
 
 
@@ -228,4 +229,13 @@ def test_mesh_validation():
     with pytest.raises(ConfigError):
         Mesh(0, 1)
     assert Mesh(3, 2).n_devices == 6
-    assert Mesh(3, 2).coords(5) == (2, 1)
+
+
+def test_simulator_refuses_what_the_mesh_cannot_split():
+    rng = np.random.default_rng(2)
+    gate, w_in, w_out = _random_layer(rng, 4, 8, 6)
+    tokens = rng.normal(size=(16, 8))
+    with pytest.raises(PlanningError, match="E=4"):
+        simulate_sharded(tokens, gate, w_in, w_out, Mesh(3, 1))
+    with pytest.raises(PlanningError, match="H=6"):
+        simulate_sharded(tokens, gate, w_in, w_out, Mesh(1, 4))

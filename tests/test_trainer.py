@@ -135,8 +135,8 @@ def test_stacked_update_equals_the_per_matrix_rule_on_each_slice(n_experts, rows
         for e in range(n_experts):
             assert stacked["w"].data[e].tobytes() == slices[f"w{e}"].data.tobytes()
             for kind in ("row", "col"):
-                want = state_slices.accum[f"w{e}"][kind]
-                assert state_stacked.accum["w"][kind][e].tobytes() == want.tobytes()
+                want = state_slices.accum[f"w{e}@{kind}"]
+                assert state_stacked.accum[f"w@{kind}"][e].tobytes() == want.tobytes()
 
 
 def test_factored_estimate_is_exact_for_rank_one():
@@ -196,12 +196,9 @@ def test_state_arrays_round_trip():
         )
     back = AdafactorState.from_arrays(state.arrays())
     assert back.step == state.step
-    assert set(back.accum) == {"m", "v"}
-    assert set(back.accum["m"]) == {"row", "col"}
-    assert set(back.accum["v"]) == {"full"}
-    for name, parts in state.accum.items():
-        for kind, arr in parts.items():
-            assert np.array_equal(back.accum[name][kind], arr)
+    assert set(back.accum) == {"m@row", "m@col", "v@full"}
+    for key, arr in state.accum.items():
+        assert np.array_equal(back.accum[key], arr)
 
 
 def _former_adafactor_step(state, params, grads, lr):
@@ -211,19 +208,19 @@ def _former_adafactor_step(state, params, grads, lr):
     for name, p in params.items():
         g = grads[name]
         sq = g * g + 1e-30
-        slot = state.accum.setdefault(name, {})
+        accum = state.accum
         if g.ndim >= 2:
-            row = slot.get("row")
-            col = slot.get("col")
+            row = accum.get(f"{name}@row")
+            col = accum.get(f"{name}@col")
             new_row = sq.mean(axis=-1) if row is None else b2 * row + (1 - b2) * sq.mean(axis=-1)
             new_col = sq.mean(axis=-2) if col is None else b2 * col + (1 - b2) * sq.mean(axis=-2)
-            slot["row"], slot["col"] = new_row, new_col
+            accum[f"{name}@row"], accum[f"{name}@col"] = new_row, new_col
             vhat = np.multiply(new_row[..., :, None], new_col[..., None, :], out=sq)
             vhat /= new_row.mean(axis=-1)[..., None, None]
         else:
-            full = slot.get("full")
+            full = accum.get(f"{name}@full")
             new_full = sq if full is None else b2 * full + (1 - b2) * sq
-            slot["full"] = new_full
+            accum[f"{name}@full"] = new_full
             vhat = new_full.copy()
         update = np.divide(g, np.sqrt(vhat, out=vhat), out=vhat)
         lead = g.shape[:-2]
@@ -245,9 +242,9 @@ def test_update_is_bit_equal_to_the_former_mean_rule(shape):
         adafactor_step(state_new, {"w": new}, {"w": g}, lr=0.05)
         _former_adafactor_step(state_old, {"w": old}, {"w": g.copy()}, lr=0.05)
         assert new.data.tobytes() == old.data.tobytes()
-        assert state_new.accum["w"].keys() == state_old.accum["w"].keys()
-        for kind, arr in state_old.accum["w"].items():
-            assert state_new.accum["w"][kind].tobytes() == arr.tobytes()
+        assert state_new.accum.keys() == state_old.accum.keys()
+        for key, arr in state_old.accum.items():
+            assert state_new.accum[key].tobytes() == arr.tobytes()
 
 
 # ---------------------------------------------------------------- train_step
@@ -359,6 +356,23 @@ def test_checkpoint_bytes_equal_the_copying_writer(tmp_path):
     save_checkpoint(path, config, build(config, seed=11).params(), opt_arrays=opt_arrays, meta={"step": 3})
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "a0d766f0c6147a2ae8f6bc02a53771e2c88ab3865080a3daf2f7d0192ee61854"
+
+
+def test_manager_checkpoint_bytes_after_three_steps_are_pinned(tmp_path):
+    # the optimizer state goes through AdafactorState.arrays on save and from_arrays on rollback;
+    # the digest is the file's when the state was kept nested by parameter and kind
+    model = build(tiny_config(), seed=12)
+    state = AdafactorState()
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        train_step(model, tiny_batch(rng), state, lr=0.01)
+    manager = CheckpointManager(tmp_path)
+    path = manager.save(model, state, data_seed=14)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e377337ebb455c3e13529ed19aebd6ce956923cd2f99c017a24d4213ad9b7726"  # as with nested state
+    train_step(model, tiny_batch(rng), state, lr=0.01)
+    assert manager.rollback(model, state) == 14
+    assert hashlib.sha256(manager.save(model, state, data_seed=14).read_bytes()).hexdigest() == digest
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
