@@ -5,7 +5,8 @@ length-prefixed UTF-8 JSON header (model config, metadata, array directory
 and the sha256 of the array payload), then each array's raw bytes in
 directory order.  Floats are little-endian float64 and the array bytes are
 written verbatim, so a save/load round trip is bit-exact; a load whose
-payload does not hash to the header's digest is refused.
+payload does not hash to the header's digest, whose directory names an array
+twice, or whose file goes on past the last array is refused.
 No timestamps or other ambient state are recorded: identical inputs produce
 identical files.  A save writes ``<path>.partial``, syncs it to disk and then
 renames it over ``path``, so a failed or interrupted save leaves the previous
@@ -125,6 +126,8 @@ def _check_header(header) -> None:
         for entry in arrays
     ):
         raise CheckpointFormatError("checkpoint header needs an 'arrays' list of {name, shape, dtype}")
+    if len({entry["name"] for entry in arrays}) != len(arrays):
+        raise CheckpointFormatError("checkpoint header names an array twice")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -166,6 +169,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 opt_arrays[name[len("opt/") :]] = arr
             else:
                 raise CheckpointFormatError(f"unknown array namespace in {name!r}")
+        if fh.read(1):
+            raise CheckpointFormatError(f"{path}: bytes follow the last array")
     if digest.hexdigest() != header["payload_sha256"]:
         raise CheckpointFormatError(f"{path}: array payload does not match the header's sha256")
     try:

@@ -2,8 +2,9 @@
 
 Small on purpose: only the operations a decoder-only mixture-of-experts
 language model needs.  Every operation is one call to ``_op``, which records
-a gradient closure per operand that requires grad on a dynamic tape;
-``Tensor.backward`` replays the tape in reverse topological order and
+one node on a dynamic tape: its operands that require grad and one backward
+that returns a gradient per operand.  ``Tensor.backward`` replays the tape in
+reverse topological order, calling each node's backward once, and
 accumulates gradients additively, so parameters shared between several
 subexpressions (e.g. a tied embedding) receive the sum of all contributions.
 Interior gradients are transient: each lives in the pass's own map until its
@@ -57,9 +58,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
 
 
-GradFn = Callable[[np.ndarray], np.ndarray]
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcasting introduced or expanded."""
     extra = grad.ndim - len(shape)
@@ -78,13 +76,14 @@ class Tensor:
     backward pass; the trainer mutates ``data`` in place only between steps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_back")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: list[tuple[Tensor, GradFn]] = []
+        self._parents: list[tuple[Tensor, int]] = []
+        self._back: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
 
     # ---- bookkeeping -----------------------------------------------------
 
@@ -145,12 +144,13 @@ class Tensor:
         grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(node)
-            if not node._parents:
+            if node._back is None:
                 node._accumulate(g)
-            for parent, fn in node._parents:
-                part = fn(g)
+                continue
+            parts = node._back(g)
+            for parent, i in node._parents:
                 prev = grads.get(parent)
-                grads[parent] = part if prev is None else prev + part
+                grads[parent] = parts[i] if prev is None else prev + parts[i]
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -158,8 +158,8 @@ class Tensor:
         other = _as_tensor(other)
         return _op(
             np.add(self.data, other.data),
-            (self, lambda g: _unbroadcast(g, self.shape)),
-            (other, lambda g: _unbroadcast(g, other.shape)),
+            (self, other),
+            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
         )
 
     __radd__ = __add__
@@ -169,8 +169,8 @@ class Tensor:
         a_data, b_data = self.data, other.data
         return _op(
             np.multiply(a_data, b_data),
-            (self, lambda g: _unbroadcast(g * b_data, self.shape)),
-            (other, lambda g: _unbroadcast(g * a_data, other.shape)),
+            (self, other),
+            lambda g: (_unbroadcast(g * b_data, self.shape), _unbroadcast(g * a_data, other.shape)),
         )
 
     __rmul__ = __mul__
@@ -180,20 +180,23 @@ class Tensor:
         a_data, b_data = self.data, other.data
         return _op(
             np.divide(a_data, b_data),
-            (self, lambda g: _unbroadcast(g / b_data, self.shape)),
-            (other, lambda g: _unbroadcast(-g * a_data / (b_data * b_data), other.shape)),
+            (self, other),
+            lambda g: (
+                _unbroadcast(g / b_data, self.shape),
+                _unbroadcast(-g * a_data / (b_data * b_data), other.shape),
+            ),
         )
 
     # ---- structure -------------------------------------------------------
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         orig = self.shape
-        return _op(self.data.reshape(tuple(shape)), (self, lambda g: g.reshape(orig)))
+        return _op(self.data.reshape(tuple(shape)), (self,), lambda g: (g.reshape(orig),))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
-        return _op(self.data.transpose(axes), (self, lambda g: g.transpose(inverse)))
+        return _op(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     # ---- reductions ------------------------------------------------------
 
@@ -201,10 +204,10 @@ class Tensor:
         shape = self.shape
         reduced = tuple(range(self.ndim)) if axis is None else axis
 
-        def back(g: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(g if keepdims else np.expand_dims(g, reduced), shape).copy()
+        def back(g: np.ndarray) -> tuple[np.ndarray]:
+            return (np.broadcast_to(g if keepdims else np.expand_dims(g, reduced), shape).copy(),)
 
-        return _op(self.data.sum(axis=axis, keepdims=keepdims), (self, back))
+        return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         total = self.sum(axis=axis, keepdims=keepdims)  # numpy rejects bad or repeated axes first
@@ -217,42 +220,21 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _op(data: np.ndarray, *edges: tuple[Tensor, GradFn]) -> Tensor:
-    """The tape node for ``data``: one (parent, grad_fn) edge per operand.
+def _op(
+    data: np.ndarray, parents: Sequence[Tensor], back: Callable[[np.ndarray], Sequence[np.ndarray]]
+) -> Tensor:
+    """The tape node for ``data``, whose ``back(g)`` returns one gradient per operand, in order.
 
-    Constants stay off the tape so graphs only retain what backward needs.
+    The node keeps an (operand, index) edge for each operand that requires
+    grad, and ``back`` only if there is one, so a graph of constants holds no
+    closure.  A constant operand's gradient is computed and dropped.
     """
     out = Tensor(data)
-    out._parents = [(parent, fn) for parent, fn in edges if parent.requires_grad]
-    out.requires_grad = bool(out._parents)
+    out._parents = [(parent, i) for i, parent in enumerate(parents) if parent.requires_grad]
+    if out._parents:
+        out.requires_grad = True
+        out._back = back
     return out
-
-
-def _joint_op(
-    data: np.ndarray,
-    parents: Sequence[Tensor],
-    back: Callable[[np.ndarray, list[bool]], Sequence[np.ndarray | None]],
-) -> Tensor:
-    """One tape node whose operands' gradients come from one ``back(g, wanted)`` call.
-
-    ``back`` returns a gradient for each parent whose ``wanted`` flag is set.
-    ``Tensor.backward`` calls a node's edges one after another with the same
-    ``g``: the first computes every gradient, and each edge hands out and
-    drops its own, so none outlives the node's replay.
-    """
-    wanted = [p.requires_grad for p in parents]
-    pending: dict[int, np.ndarray] = {}
-
-    def edge(i: int) -> GradFn:
-        def fn(g: np.ndarray) -> np.ndarray:
-            if not pending:
-                grads = zip(wanted, back(g, wanted))
-                pending.update((j, grad) for j, (want, grad) in enumerate(grads) if want)
-            return pending.pop(i)
-
-        return fn
-
-    return _op(data, *((p, edge(i)) for i, p in enumerate(parents)))
 
 
 # ---- nonlinearity and normalizing ops -------------------------------------
@@ -265,11 +247,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def back(g: np.ndarray) -> tuple[np.ndarray]:
         inner = (g * y).sum(axis=axis, keepdims=True)
-        return y * (g - inner)
+        return (y * (g - inner),)
 
-    return _op(y, (x, back))
+    return _op(y, (x,), back)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -278,10 +260,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
 
-    def back(g: np.ndarray) -> np.ndarray:
-        return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
-
-    return _op(y, (x, back))
+    return _op(y, (x,), lambda g: (g - np.exp(y) * g.sum(axis=axis, keepdims=True),))
 
 
 # ---- linear algebra --------------------------------------------------------
@@ -297,8 +276,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
     return _op(
         np.matmul(a_data, b_data),
-        (a, lambda g: _left_grad(g, b_data, a_data.shape)),
-        (b, lambda g: _right_grad(a_data, g, b_data.shape)),
+        (a, b),
+        lambda g: (_left_grad(g, b_data, a_data.shape), _right_grad(a_data, g, b_data.shape)),
     )
 
 
@@ -334,11 +313,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     shape = table.shape
     width = math.prod(shape[1:])
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def back(g: np.ndarray) -> tuple[np.ndarray]:
         cells = ids.reshape(-1, 1) * width + np.arange(width)
-        return _scatter_add(cells, g, shape)
+        return (_scatter_add(cells, g, shape),)
 
-    return _op(table.data[ids], (table, back))
+    return _op(table.data[ids], (table,), back)
 
 
 def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -352,11 +331,11 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
     shape = x.shape
     lead = math.prod(shape[:-1])
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def back(g: np.ndarray) -> tuple[np.ndarray]:
         cells = np.arange(lead)[:, None] * shape[-1] + idx.reshape(lead, idx.shape[-1])
-        return _scatter_add(cells, g, shape)
+        return (_scatter_add(cells, g, shape),)
 
-    return _op(np.take_along_axis(x.data, idx, axis=-1), (x, back))
+    return _op(np.take_along_axis(x.data, idx, axis=-1), (x,), back)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -365,8 +344,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     if not parts or any(p.shape[1:] != parts[0].shape[1:] for p in parts):
         raise ShapeError(f"concat needs matching trailing shapes, got {[p.shape for p in parts]}")
     ends = np.cumsum([p.shape[0] for p in parts])
-    edges = [(p, lambda g, lo=end - p.shape[0], hi=end: g[lo:hi]) for p, end in zip(parts, ends)]
-    return _op(np.concatenate([p.data for p in parts]), *edges)
+    return _op(np.concatenate([p.data for p in parts]), parts, lambda g: np.split(g, ends))
 
 
 # ---- layers as single nodes ------------------------------------------------
@@ -383,17 +361,13 @@ def rms_norm(x: Tensor, scale: Tensor) -> Tensor:
     xd, sd = x.data, scale.data
     r = ((xd * xd).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + _NORM_EPS) ** -0.5
 
-    def back(g: np.ndarray, wanted: list[bool]) -> tuple:
-        gx = gs = None
-        if wanted[0]:
-            gn = g * sd
-            dr = (gn * xd).sum(axis=-1, keepdims=True)
-            gx = gn * r - xd * (dr * (r * r * r) * (1.0 / xd.shape[-1]))
-        if wanted[1]:
-            gs = _unbroadcast(g * (xd * r), sd.shape)
-        return gx, gs
+    def back(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        gn = g * sd
+        dr = (gn * xd).sum(axis=-1, keepdims=True)
+        gx = gn * r - xd * (dr * (r * r * r) * (1.0 / xd.shape[-1]))
+        return gx, _unbroadcast(g * (xd * r), sd.shape)
 
-    return _joint_op(xd * r * sd, (x, scale), back)
+    return _op(xd * r * sd, (x, scale), back)
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor, buckets: np.ndarray) -> Tensor:
@@ -425,22 +399,20 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias_table: Tensor, bucket
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
 
-    def back(g: np.ndarray, wanted: list[bool]) -> tuple:
+    def back(g: np.ndarray) -> tuple[np.ndarray, ...]:
         g = split(g)
-        gv = merge(_right_grad(w, g, vd.shape)) if wanted[2] else None
+        gv = merge(_right_grad(w, g, vd.shape))
         gs = _left_grad(g, vd, w.shape)
         gs -= (gs * w).sum(axis=-1, keepdims=True)
         gs *= w
-        gt = None
-        if wanted[3]:
-            cells = np.arange(heads)[:, None, None] * table.shape[1] + buckets
-            gt = _scatter_add(cells, _unbroadcast(gs, gs.shape[-3:]), table.shape)
+        cells = np.arange(heads)[:, None, None] * table.shape[1] + buckets
+        gt = _scatter_add(cells, _unbroadcast(gs, gs.shape[-3:]), table.shape)
         gs *= scale
-        gq = merge(_left_grad(gs, kt, qd.shape)) if wanted[0] else None
-        gk = merge(np.swapaxes(_right_grad(qd, gs, kt.shape), -1, -2)) if wanted[1] else None
+        gq = merge(_left_grad(gs, kt, qd.shape))
+        gk = merge(np.swapaxes(_right_grad(qd, gs, kt.shape), -1, -2))
         return gq, gk, gv, gt
 
-    return _joint_op(merge(np.matmul(w, vd)), (q, k, v, bias_table), back)
+    return _op(merge(np.matmul(w, vd)), (q, k, v, bias_table), back)
 
 
 def gelu_ffn(x: Tensor, w_in: Tensor, w_out: Tensor, gate: Tensor | None = None) -> Tensor:
@@ -462,25 +434,23 @@ def gelu_ffn(x: Tensor, w_in: Tensor, w_out: Tensor, gate: Tensor | None = None)
         act = h * cdf
         return act, act if hg is None else act * hg
 
-    def back(g: np.ndarray, wanted: list[bool]) -> list:
+    def back(g: np.ndarray) -> list[np.ndarray]:
         act, u = hidden()
-        grads = [None, None, _right_grad(u, g, wout.shape) if wanted[2] else None]
+        grads = [None, None, _right_grad(u, g, wout.shape)]
         du = _left_grad(g, wout, u.shape)
         if hg is not None:
             dhg = du * act
             du = du * hg
-            grads.append(_right_grad(xd, dhg, wg.shape) if wanted[3] else None)
+            grads.append(_right_grad(xd, dhg, wg.shape))
         pdf = np.exp(-0.5 * h * h) * _INV_SQRT_2PI
         dh = du * (cdf + h * pdf)
-        if wanted[1]:
-            grads[1] = _right_grad(xd, dh, win.shape)
-        if wanted[0]:
-            gx = _left_grad(dh, win, xd.shape)
-            grads[0] = gx if hg is None else gx + _left_grad(dhg, wg, xd.shape)
+        grads[1] = _right_grad(xd, dh, win.shape)
+        gx = _left_grad(dh, win, xd.shape)
+        grads[0] = gx if hg is None else gx + _left_grad(dhg, wg, xd.shape)
         return grads
 
     parents = (x, w_in, w_out) if gate is None else (x, w_in, w_out, gate)
-    return _joint_op(np.matmul(hidden()[1], wout), parents, back)
+    return _op(np.matmul(hidden()[1], wout), parents, back)
 
 
 # ---- losses ----------------------------------------------------------------
@@ -510,13 +480,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     picked -= np.log(total)  # log-softmax at the targets
     n = picked.size
 
-    def back(g: np.ndarray) -> np.ndarray:
+    def back(g: np.ndarray) -> tuple[np.ndarray]:
         grad = e / total
         grad.reshape(-1, vocab)[np.arange(n), targets.reshape(-1)] -= 1.0
         grad *= g * (1.0 / n)
-        return grad
+        return (grad,)
 
-    return _op(-(picked.sum() * (1.0 / n)), (logits, back))
+    return _op(-(picked.sum() * (1.0 / n)), (logits,), back)
 
 
 # ---- verification ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 
 import jsonschema
@@ -359,9 +360,25 @@ def _trained_checkpoint(workspace, out):
     return out / "checkpoint_last.ckpt"
 
 
+def _with_a_repeated_array(data: bytes) -> bytes:
+    """The checkpoint with a zeroed copy of its first array appended under the same name, digest updated."""
+    (header_len,) = struct.unpack("<Q", data[12:20])
+    header = json.loads(data[20 : 20 + header_len])
+    first = header["arrays"][0]
+    payload = data[20 + header_len :] + bytes(8 * math.prod(first["shape"]))
+    header["arrays"].append(dict(first))
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    return _checkpoint_bytes(json.dumps(header, sort_keys=True).encode()) + payload
+
+
 @pytest.mark.parametrize(
     "damage, messages",
-    [("flipped-payload-byte", ["sha256"]), ("format-version-1", ["version 1", "version 2"])],
+    [
+        ("flipped-payload-byte", ["sha256"]),
+        ("format-version-1", ["version 1", "version 2"]),
+        ("trailing-zero-bytes", ["bytes follow the last array"]),
+        ("repeated-array-name", ["names an array twice"]),
+    ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_damaged_or_old_checkpoint_exits_5(tmp_path, workspace, capsys, damage, messages):
@@ -369,8 +386,12 @@ def test_damaged_or_old_checkpoint_exits_5(tmp_path, workspace, capsys, damage, 
     data = bytearray(ckpt.read_bytes())
     if damage == "flipped-payload-byte":
         data[-100] ^= 0x01  # without the digest, this file loads with one array corrupted
-    else:
+    elif damage == "format-version-1":
         data[8:12] = struct.pack("<I", 1)
+    elif damage == "trailing-zero-bytes":
+        data += bytes(64)  # without the end check, this file loads as if intact
+    else:
+        data = _with_a_repeated_array(bytes(data))  # without the name check, the zeros replace the array
     ckpt.write_bytes(bytes(data))
     capsys.readouterr()
     assert main(_eval_args(workspace, tmp_path / "eval", ckpt=ckpt)) == 5

@@ -3,7 +3,8 @@
 scipy stays inside ``tensor.py``; modules share only public names; every
 generator is built from a seed, so no library function draws unseeded;
 only ``cli.main`` prints to stdout, after it has written the report;
-only ``Tensor.__init__`` and ``tensor._op`` write the autodiff tape's edges,
+only ``Tensor.__init__`` and ``tensor._op`` write the autodiff tape's edges
+and node backwards, and no other module names either,
 and only ``Tensor.__init__``, ``zero_grad`` and ``_accumulate`` store to ``.grad``;
 every imported name is used or re-exported; and no module calls ``np.add.at``,
 whose unbuffered scatter is several times slower than ``np.bincount``.
@@ -93,9 +94,10 @@ def _writes(node, attr, calls, scope=""):
 
 
 def test_only_the_node_constructor_writes_tape_edges():
-    tensor = next(p for p in MODULES if p.name == "tensor.py")
-    writes = list(_writes(_tree(tensor), "_parents", calls=True))
-    assert {scope for scope, _ in writes} == {"Tensor.__init__", "_op"}, writes
+    tensor = _tree(next(p for p in MODULES if p.name == "tensor.py"))
+    for attr in ("_parents", "_back"):
+        writes = list(_writes(tensor, attr, calls=True))
+        assert {scope for scope, _ in writes} == {"Tensor.__init__", "_op"}, (attr, writes)
 
 
 def test_only_leaves_store_gradients():
@@ -112,7 +114,8 @@ def test_only_leaves_store_gradients():
 def test_tape_edges_stay_inside_tensor(path):
     for node in ast.walk(_tree(path)):
         names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)}
-        assert "_parents" not in names, f"line {node.lineno} mentions _parents"
+        tape = names & {"_parents", "_back"}
+        assert not tape, f"line {node.lineno} mentions {tape}"
 
 
 def _exported(tree):

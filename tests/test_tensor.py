@@ -286,8 +286,9 @@ def _former_replay(root):
 
     add(root, np.ones_like(root.data))
     for node in reversed(topo):
-        for parent, fn in node._parents:
-            add(parent, fn(held[node]))
+        parts = node._back(held[node]) if node._parents else ()
+        for parent, i in node._parents:
+            add(parent, parts[i])
     return topo, {node: held[node] for node in topo if not node._parents}
 
 
@@ -329,15 +330,15 @@ def _gelu(x):
 
     def back(g):
         pdf = np.exp(-0.5 * xd * xd) * (1.0 / math.sqrt(2.0 * math.pi))
-        return g * (cdf + xd * pdf)
+        return (g * (cdf + xd * pdf),)
 
-    return T._op(xd * cdf, (x, back))
+    return T._op(xd * cdf, (x,), back)
 
 
 def _rsqrt(x):
     """The former ``x ** -0.5``."""
     xd = x.data
-    return T._op(xd**-0.5, (x, lambda g: g * -0.5 * xd**-1.5))
+    return T._op(xd**-0.5, (x,), lambda g: (g * -0.5 * xd**-1.5,))
 
 
 def _rms_norm_composite(x, scale):
@@ -517,6 +518,47 @@ def test_a_forward_records_at_most_its_pinned_nodes(experts, seq_len, shape, mos
             nodes += 1
             stack.extend(parent for parent, _ in node._parents)
     assert nodes <= most  # 113 at train-moe32 as composites of single ops
+
+
+# -------------------------------------------------------------- constant operands
+# A node computes every operand's gradient and keeps those whose operand
+# requires grad, so a constant operand changes no other operand's gradient.
+
+
+@pytest.mark.parametrize(
+    "layer,shapes",
+    [
+        (T.matmul, [(3, 4), (4, 5)]),
+        (lambda a, b: a * b, [(3, 4), (3, 4)]),
+        (T.rms_norm, [(2, 3, 4), (4,)]),
+        (lambda q, k, v, t: T.causal_attention(q, k, v, t, relative_buckets(5, 6)), [(2, 5, 6)] * 3 + [(2, 6)]),
+        (T.gelu_ffn, [(3, 4, 5), (3, 5, 6), (3, 6, 5)]),
+        (T.gelu_ffn, [(2, 3, 5), (5, 6), (6, 5), (5, 6)]),
+    ],
+    ids=["matmul", "mul", "rms_norm", "attention", "gelu_ffn", "geglu"],
+)
+def test_a_constant_operand_leaves_the_others_gradients_bit_equal(layer, shapes):
+    leaves = _leaves(shapes)
+    _, want = _run(layer, leaves)
+    for i in range(len(leaves)):
+        _, got = _run(layer, [Tensor(t.data) if j == i else t for j, t in enumerate(leaves)])
+        assert got[i] is None
+        assert all(got[j].tobytes() == want[j].tobytes() for j in range(len(leaves)) if j != i)
+
+
+def test_a_forward_over_constant_parameters_records_no_edges_or_backwards(monkeypatch):
+    config = ModelConfig(
+        n_layers=2, d_model=8, d_ff=16, n_heads=2, d_head=4,
+        n_experts=4, vocab_size=17, seq_len=6, batch_size=3, rel_pos_buckets=8,
+    )
+    params = {name: Tensor(p.data) for name, p in build(config, seed=4).params().items()}
+    ids = np.random.default_rng(5).integers(0, 17, size=(3, 7))
+    made, op = [], T._op
+    monkeypatch.setattr(T, "_op", lambda *args: made.append(op(*args)) or made[-1])
+    logits, aux, _ = model.TransformerLM(config, params).forward(ids[:, :-1])
+    loss = T.cross_entropy(logits, ids[:, 1:]) + 0.01 * aux
+    assert made and not loss.requires_grad
+    assert all(node._parents == [] and node._back is None for node in made)
 
 
 # ------------------------------------------------------------ scatter-adds
