@@ -183,7 +183,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def restore_params(
     live: Mapping[str, Tensor], saved: Mapping[str, np.ndarray], source: str | Path
 ) -> None:
-    """Copy saved arrays into a model's parameters in place.
+    """Bind a copy of each saved array to the model's parameter of that name.
 
     Nothing is copied unless the names and every shape match the live model;
     otherwise CheckpointFormatError names ``source`` and the first mismatch.

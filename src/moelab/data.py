@@ -36,6 +36,7 @@ __all__ = [
     "keep_mask",
     "filter_corpus",
     "mixture_sampler",
+    "refuse_unencodable",
     "tokenize",
     "detokenize",
     "pack_examples",
@@ -75,6 +76,7 @@ class Document:
             raise ConfigError(f"document id must be a non-empty string, got {self.id!r}")
         if not isinstance(self.text, str) or not self.text:
             raise ConfigError(f"document {self.id!r} text must be a non-empty string")
+        refuse_unencodable(f"document {self.id!r}", self.id, self.text)
         if self.source not in SOURCES:
             raise ConfigError(f"unknown source {self.source!r}; expected one of {SOURCES}")
         score = self.quality_score
@@ -274,9 +276,29 @@ def mixture_sampler(
 # -------------------------------------------------------------- tokenization
 
 
+def _utf8(text: str) -> bytes:
+    """The byte rule: a text's token ids are its UTF-8 bytes, 0..255."""
+    return text.encode("utf-8")
+
+
+def refuse_unencodable(record: str, *texts: str) -> None:
+    """Raise ``ConfigError`` naming ``record`` if UTF-8 cannot encode a text.
+
+    Only a lone surrogate such as ``"\\ud800"`` fails, and valid JSON can hold one.
+    """
+    for text in texts:
+        try:
+            _utf8(text)
+        except UnicodeEncodeError as exc:
+            bad = text[exc.start : exc.end]
+            raise ConfigError(
+                f"{record} holds {bad!r} at index {exc.start}, which UTF-8 cannot encode"
+            ) from None
+
+
 def tokenize(text: str) -> list[int]:
     """UTF-8 bytes as ids 0..255; PAD, BOS and EOS sit just past them."""
-    return list(text.encode("utf-8"))
+    return list(_utf8(text))
 
 
 def detokenize(ids: Iterable[int]) -> str:
@@ -286,41 +308,42 @@ def detokenize(ids: Iterable[int]) -> str:
 
 # ------------------------------------------------------------------ packing
 
+_SEPARATOR = np.array([EOS], dtype=np.int64)
+
 
 def pack_examples(
     token_streams: Iterable[Sequence[int]],
     seq_len: int,
     batch_size: int,
 ) -> list[np.ndarray]:
-    """Pack token sequences into [batch_size, seq_len] id arrays.
+    """Pack token sequences into [batch_size, seq_len] int64 id arrays.
 
     Documents are laid end to end with an EOS after each one, the stream is
     chunked into rows, and the final short row (and final short batch) is
-    PAD-filled.  A trailing row that would hold only the last separator and
-    padding is dropped.  Every content token appears exactly once.
+    PAD-filled.  Trailing rows that would hold only separators and padding
+    are dropped.  Every content token appears exactly once.  A stream may be
+    a list of ints or an integer array (``batches_from_documents`` passes
+    uint8 arrays).  One PAD-filled [n_batches, batch_size, seq_len] array is
+    allocated and filled by a single concatenate; the batches are its slices.
     """
     if seq_len < 2:
         raise ConfigError(f"seq_len must be >= 2, got {seq_len}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    flat: list[int] = []
-    for stream in token_streams:
-        flat.extend(int(t) for t in stream)
-        flat.append(EOS)
-    rows: list[list[int]] = []
-    for start in range(0, len(flat), seq_len):
-        chunk = flat[start : start + seq_len]
-        chunk.extend([PAD] * (seq_len - len(chunk)))
-        rows.append(chunk)
-    while rows and all(t >= 256 for t in rows[-1]):
-        rows.pop()  # only the final separator and padding remained
-    batches: list[np.ndarray] = []
-    for start in range(0, len(rows), batch_size):
-        group = rows[start : start + batch_size]
-        while len(group) < batch_size:
-            group.append([PAD] * seq_len)
-        batches.append(np.array(group, dtype=np.int64))
-    return batches
+    parts = [part for stream in token_streams for part in (stream, _SEPARATOR)]
+    if not parts:
+        return []
+    n_tokens = sum(len(part) for part in parts)
+    n_rows = -(-n_tokens // seq_len)
+    packed = np.full(-(-n_rows // batch_size) * batch_size * seq_len, PAD, dtype=np.int64)
+    # "unsafe" only so an empty list, which numpy reads as float64, may join
+    np.concatenate(parts, out=packed[:n_tokens], casting="unsafe")
+    rows = packed.reshape(-1, seq_len)
+    kept = n_rows
+    while kept and (rows[kept - 1] >= 256).all():
+        kept -= 1  # only separators and padding remained
+    rows[kept:] = PAD
+    return list(packed.reshape(-1, batch_size, seq_len)[: -(-kept // batch_size)])
 
 
 def batches_from_documents(docs: Sequence[Document], seq_len: int, batch_size: int):
@@ -328,11 +351,13 @@ def batches_from_documents(docs: Sequence[Document], seq_len: int, batch_size: i
 
     Returns a callable suitable for the training loop: given a seed it yields
     packed batches forever, reshuffling document order each pass with a seed
-    derived from the pass number.
+    derived from the pass number.  Each document is encoded once, as a uint8
+    array of its ``tokenize`` bytes; each pass is one ``pack_examples`` call,
+    so the pass is a single int64 array and its batches are views into it.
     """
     if not docs:
         raise ConfigError("no documents to batch")
-    encoded = [tokenize(d.text) for d in docs]
+    encoded = [np.frombuffer(_utf8(d.text), dtype=np.uint8) for d in docs]
 
     def source(seed: int) -> Iterator[np.ndarray]:
         epoch = 0

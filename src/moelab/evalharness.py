@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import BOS, EOS, VOCAB_SIZE, detokenize, tokenize
+from .data import BOS, EOS, VOCAB_SIZE, detokenize, refuse_unencodable, tokenize
 from .model import TransformerLM
 from .moe import ConfigError
 from .tensor import log_softmax
@@ -119,6 +119,7 @@ class Task:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if isinstance(self.shots, bool) or not isinstance(self.shots, int) or self.shots < 0:
             raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
+        refuse_unencodable(f"task name {self.name!r}", self.name)
         for ex in list(self.examples) + list(self.train_examples):
             if not isinstance(ex.get("context"), str):
                 raise ConfigError(f"task {self.name}: every example needs a string context")
@@ -133,6 +134,8 @@ class Task:
                     )
             elif not _str_list(ex.get("references"), min_len=1):
                 raise ConfigError(f"task {self.name}: generative examples need >= 1 reference string")
+            texts = ex["options"] if self.kind == "multiple_choice" else ex["references"]
+            refuse_unencodable(f"task {self.name!r} example", ex["context"], *texts)
 
 
 def _str_list(value, min_len: int) -> bool:

@@ -73,7 +73,9 @@ class Tensor:
     """A float64 n-d array plus an optional gradient of the same shape.
 
     Tensor data is treated as immutable between construction and the end of a
-    backward pass; the trainer mutates ``data`` in place only between steps.
+    backward pass.  The library never writes into a parameter's array:
+    ``adafactor_step`` and ``restore_params`` bind new arrays to ``data``.
+    Only a caller writes in place, and only between steps.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_back")

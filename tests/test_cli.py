@@ -626,6 +626,18 @@ def test_train_different_seed_changes_checkpoint(tmp_path, workspace):
     assert (a / "checkpoint_last.ckpt").read_bytes() != (b / "checkpoint_last.ckpt").read_bytes()
 
 
+def test_train_on_a_corpus_with_a_lone_surrogate_exits_5(tmp_path, workspace, capsys):
+    # valid JSON, but UTF-8 has no bytes for it, so the record cannot be tokenized
+    corpus = tmp_path / "corpus.jsonl"
+    record = json.dumps({"id": "lone", "source": "books", "text": "a \ud800 b"})
+    corpus.write_text((workspace / "corpus.jsonl").read_text() + record + "\n")
+    args = _train_args(workspace, tmp_path / "run", steps=2) + ["--set", f"data.corpus={corpus}"]
+    assert main(args) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "document 'lone'" in err and "UTF-8" in err, err
+    assert not (tmp_path / "run" / "train_report.json").exists()
+
+
 def test_train_that_runs_out_of_tries_exits_3(tmp_path, workspace, capsys):
     args = _train_args(workspace, tmp_path, steps=20)
     args += ["--set", "trainer.checkpoint_interval=5", "--set", "trainer.peak_lr=100"]
@@ -750,6 +762,18 @@ def test_bad_task_example_is_data_error(tmp_path, workspace, capsys, field, valu
     args = ["eval", "--out", str(tmp_path), "--set", f"eval.tasks={json.dumps([str(task)])}"]
     assert main(args + _model_args(seq_len=96)) == 5
     assert "bad task file" in capsys.readouterr().err
+
+
+def test_eval_on_a_task_context_with_a_lone_surrogate_exits_5(tmp_path, workspace, capsys):
+    rows = [json.loads(line) for line in (workspace / "tasks" / "copa.jsonl").read_text().splitlines()]
+    rows[-1]["context"] += "\ud800"
+    task = tmp_path / "copa.jsonl"
+    task.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    args = ["eval", "--out", str(tmp_path), "--set", f"eval.tasks={json.dumps([str(task)])}"]
+    assert main(args + _model_args(seq_len=96)) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "task 'copa'" in err and "UTF-8" in err, err
+    assert not (tmp_path / "eval_report.json").exists()
 
 
 @pytest.mark.parametrize("record", ["[1, 2]", '"text"'], ids=["list", "string"])

@@ -1,10 +1,15 @@
 """Pipeline: hashing classifier, Pareto filter rates, mixing, packing."""
 
+import hashlib
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from _synth import docs_from_bank, mixed_docs, word_bank
@@ -70,6 +75,8 @@ def test_document_validation():
         Document("d", "blogs", "text")
     with pytest.raises(ConfigError):
         Document("d", "books", "text", quality_score=1.5)
+    with pytest.raises(ConfigError, match="document 'd'"):
+        Document("d", "books", "lone \ud800 surrogate")
 
 
 def test_documents_round_trip_through_jsonl(tmp_path):
@@ -326,6 +333,69 @@ def test_content_tokens_are_conserved():
     assert (packed == EOS).sum() == len(streams)
 
 
+def _former_pack_examples(token_streams, seq_len, batch_size):
+    """The per-token packer that ``pack_examples`` replaced, kept as its reference."""
+    flat = []
+    for stream in token_streams:
+        flat.extend(int(t) for t in stream)
+        flat.append(EOS)
+    rows = []
+    for start in range(0, len(flat), seq_len):
+        chunk = flat[start : start + seq_len]
+        chunk.extend([PAD] * (seq_len - len(chunk)))
+        rows.append(chunk)
+    while rows and all(t >= 256 for t in rows[-1]):
+        rows.pop()
+    batches = []
+    for start in range(0, len(rows), batch_size):
+        group = rows[start : start + batch_size]
+        while len(group) < batch_size:
+            group.append([PAD] * seq_len)
+        batches.append(np.array(group, dtype=np.int64))
+    return batches
+
+
+_streams = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, VOCAB_SIZE - 1), max_size=12),
+        hnp.arrays(np.uint8, st.integers(0, 12)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams=_streams, seq_len=st.integers(2, 9), batch_size=st.integers(1, 4))
+@example(streams=[], seq_len=4, batch_size=2)  # empty input
+@example(streams=[np.array([1, 2, 3], np.uint8)], seq_len=4, batch_size=1)  # ends on a row boundary
+@example(streams=[[1, 2, 3, 4]], seq_len=4, batch_size=1)  # trailing row holds only the separator
+@example(streams=[[], [5], []], seq_len=2, batch_size=1)  # separators fill the last rows
+@example(streams=[np.ones(11, np.uint8)], seq_len=4, batch_size=3)  # last batch needs a PAD row
+def test_pack_examples_matches_the_former_packer(streams, seq_len, batch_size):
+    new = pack_examples(streams, seq_len, batch_size)
+    old = _former_pack_examples(streams, seq_len, batch_size)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape == (batch_size, seq_len)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_packing_peaks_below_twelve_bytes_per_token():
+    rng = np.random.default_rng(8)
+    streams = [rng.integers(0, 256, size=n, dtype=np.uint8) for n in rng.integers(50, 950, size=1000)]
+    n_tokens = sum(len(s) for s in streams)
+    assert 450_000 < n_tokens < 550_000
+    tracemalloc.start()
+    try:
+        batches = pack_examples(streams, 64, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(b.size for b in batches) >= n_tokens + len(streams)
+    assert peak / n_tokens < 12, peak / n_tokens
+
+
 def test_pack_rejects_tiny_seq_len():
     with pytest.raises(ConfigError):
         pack_examples([[1, 2]], seq_len=1, batch_size=1)
@@ -341,3 +411,15 @@ def test_batch_source_is_deterministic_per_seed():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
     assert all(x.shape == (2, 16) for x in a)
+
+
+def test_batch_source_matches_its_pinned_digest():
+    # the first two epochs, byte for byte, as the per-token packer produced them
+    texts = [f"doc{i} " * (1 + i % 4) + "Grüße 你好 🚀"[: i % 7] for i in range(23)]
+    docs = [Document(f"p{i}", "books", t) for i, t in enumerate(texts)]
+    per_epoch = len(pack_examples([tokenize(d.text) for d in docs], 16, 4))
+    batches = list(itertools.islice(batches_from_documents(docs, 16, 4)(7), 2 * per_epoch))
+    assert per_epoch == 7
+    assert all(b.dtype == np.int64 and b.shape == (4, 16) for b in batches)
+    digest = hashlib.sha256(b"".join(b.tobytes() for b in batches)).hexdigest()
+    assert digest == "7772e8e5b301c1be02f7cf5cd3902c0a715fef5dd006d339abc3937e2758d83b"
