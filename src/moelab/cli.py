@@ -38,6 +38,7 @@ from .data import (
     filter_corpus,
     load_documents,
     mixture_sampler,
+    require_byte_vocab,
     save_documents,
     train_quality_classifier,
 )
@@ -429,6 +430,7 @@ def cmd_data_mix(config: dict, out_dir: Path, seed: int) -> Report:
 
 def cmd_train(config: dict, out_dir: Path, seed: int) -> Report:
     cfg = model_config_from(config)
+    require_byte_vocab(cfg.vocab_size)
     section = _section(config, "trainer")
     steps = _num(section, "steps", cast=int)
     data_cfg = _section(config, "data")

@@ -25,6 +25,7 @@ __all__ = [
     "BOS",
     "EOS",
     "VOCAB_SIZE",
+    "require_byte_vocab",
     "SOURCES",
     "DEFAULT_MIXTURE",
     "Document",
@@ -49,6 +50,13 @@ PAD = 256
 BOS = 257
 EOS = 258
 VOCAB_SIZE = 259
+
+
+def require_byte_vocab(vocab_size: int) -> None:
+    """A model fed byte text sees ids 0..EOS, so it needs ``vocab_size >= VOCAB_SIZE``."""
+    if vocab_size < VOCAB_SIZE:
+        raise ConfigError(f"byte text and PAD, BOS, EOS need vocab_size >= {VOCAB_SIZE}, got {vocab_size}")
+
 
 SOURCES = ("filtered_web", "wikipedia", "conversations", "forums", "books", "news", "other")
 
@@ -303,7 +311,7 @@ def tokenize(text: str) -> list[int]:
 
 def detokenize(ids: Iterable[int]) -> str:
     """Inverse of ``tokenize``; special ids are skipped."""
-    return bytes(i for i in ids if i < 256).decode("utf-8", errors="replace")
+    return bytes(i for i in ids if i < PAD).decode("utf-8", errors="replace")
 
 
 # ------------------------------------------------------------------ packing
@@ -340,7 +348,7 @@ def pack_examples(
     np.concatenate(parts, out=packed[:n_tokens], casting="unsafe")
     rows = packed.reshape(-1, seq_len)
     kept = n_rows
-    while kept and (rows[kept - 1] >= 256).all():
+    while kept and (rows[kept - 1] >= PAD).all():
         kept -= 1  # only separators and padding remained
     rows[kept:] = PAD
     return list(packed.reshape(-1, batch_size, seq_len)[: -(-kept // batch_size)])

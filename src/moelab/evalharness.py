@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import BOS, EOS, VOCAB_SIZE, detokenize, refuse_unencodable, tokenize
+from .data import BOS, EOS, detokenize, refuse_unencodable, require_byte_vocab, tokenize
 from .model import TransformerLM
 from .moe import ConfigError
 from .tensor import log_softmax
@@ -98,7 +98,7 @@ TASK_REGISTRY: dict[str, TaskSpec] = {
 
 @dataclass
 class Task:
-    """One evaluation task: eval examples plus a demonstration pool."""
+    """One evaluation task: at least one eval example, plus a demonstration pool."""
 
     name: str
     kind: str
@@ -119,6 +119,8 @@ class Task:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if isinstance(self.shots, bool) or not isinstance(self.shots, int) or self.shots < 0:
             raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
+        if not self.examples:
+            raise ConfigError(f"task {self.name} has no examples")
         refuse_unencodable(f"task name {self.name!r}", self.name)
         for ex in list(self.examples) + list(self.train_examples):
             if not isinstance(ex.get("context"), str):
@@ -146,11 +148,7 @@ class SequenceScorer:
     """Token-level log-likelihoods from a trained model, BOS-conditioned."""
 
     def __init__(self, model: TransformerLM):
-        if model.config.vocab_size < VOCAB_SIZE:
-            raise ConfigError(
-                f"scoring feeds byte ids and BOS={BOS}, so vocab_size must be >= {VOCAB_SIZE}, "
-                f"got {model.config.vocab_size}"
-            )
+        require_byte_vocab(model.config.vocab_size)
         self.model = model
         self.max_len = model.config.seq_len
 
@@ -159,12 +157,11 @@ class SequenceScorer:
         return log_softmax(logits.data[0], axis=-1).data
 
     def token_logprobs(self, ids: Sequence[int]) -> np.ndarray:
-        """log P(ids[t] | BOS, ids[:t]) for every position; one forward pass."""
+        """log P(ids[t] | BOS, ids[:t]) for every position; one forward pass, which
+        refuses more than ``seq_len`` ids (the feed ``[BOS] + ids[:-1]`` is as long)."""
         ids = list(ids)
         if not ids:
             raise ConfigError("cannot score an empty sequence")
-        if len(ids) > self.max_len:
-            raise ConfigError(f"sequence length {len(ids)} exceeds model limit {self.max_len}")
         rows = self._rows([BOS] + ids[:-1])
         return rows[np.arange(len(ids)), ids]
 
@@ -300,8 +297,6 @@ def evaluate_task(
     max_tokens: int = 16,
 ) -> dict:
     """Score every example; returns the 0-100 task score plus run metadata."""
-    if not task.examples:
-        raise ConfigError(f"task {task.name} has no examples")
     if max_tokens < 1:
         raise ConfigError(f"max_tokens must be >= 1, got {max_tokens}")
     values = []

@@ -37,7 +37,6 @@ __all__ = [
     "relative_buckets",
     "attention_with_relative_bias",
     "geglu_ffn",
-    "rmsnorm",
     "reduce_to_single_expert",
 ]
 
@@ -114,11 +113,6 @@ def geglu_ffn(x: Tensor, wa: Tensor, wb: Tensor, wout: Tensor) -> Tensor:
     return T.gelu_ffn(x, wa, wout, gate=wb)
 
 
-def rmsnorm(x: Tensor, scale: Tensor) -> Tensor:
-    """Root-mean-square normalization over the last axis with a learned scale, as one tape node."""
-    return T.rms_norm(x, scale)
-
-
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in ``params()`` and initialization order.
 
@@ -180,12 +174,12 @@ class TransformerLM:
         stats_list: list[DispatchStats] = []
         for i in range(cfg.n_layers):
             layer = f"layer{i}"
-            h = rmsnorm(x, p[f"{layer}.norm_attn"])
+            h = T.rms_norm(x, p[f"{layer}.norm_attn"])
             q, k, v = (T.matmul(h, p[f"{layer}.{w}"]) for w in ("wq", "wk", "wv"))
             attended = attention_with_relative_bias(q, k, v, p[f"{layer}.bias_table"])
             x = x + T.matmul(attended, p[f"{layer}.wo"])
 
-            h2 = rmsnorm(x, p[f"{layer}.norm_ffn"])
+            h2 = T.rms_norm(x, p[f"{layer}.norm_ffn"])
             gate = p.get(f"{layer}.gate")  # an MoE layer, with one expert per gate column
             if gate is not None:
                 experts = [ExpertFFN(p[f"{layer}.experts.w_in"], p[f"{layer}.experts.w_out"])]
@@ -197,7 +191,7 @@ class TransformerLM:
             else:
                 x = x + geglu_ffn(h2, p[f"{layer}.wa"], p[f"{layer}.wb"], p[f"{layer}.wout"])
 
-        x = rmsnorm(x, p["norm_final"])
+        x = T.rms_norm(x, p["norm_final"])
         logits = T.matmul(x, p["embed"].transpose((1, 0)))
         if aux_terms:
             aux = sum(aux_terms[1:], aux_terms[0]) * (1.0 / len(aux_terms))

@@ -84,13 +84,20 @@ def expert_home_column(n_experts: int, mesh_x: int, expert: int) -> int:
     return expert // (n_experts // mesh_x)
 
 
-def _partition(shape: tuple[int, ...], col_axis: int, row_axis: int, mesh: Mesh) -> dict[int, Box]:
-    """Each device's box: ``col_axis`` split over mesh columns, ``row_axis`` over rows."""
+def _partition(shape: tuple[int, ...], mesh: Mesh, col_name: str, row_name: str) -> dict[int, Box]:
+    """Each device's box: axis 0 split over mesh columns, the last axis over rows.
+
+    The one divisibility rule: an axis the mesh does not divide raises ``PlanningError``.
+    """
+    splits = ((0, mesh.x, "X", col_name), (-1, mesh.y, "Y", row_name))
+    for axis, parts, mesh_axis, name in splits:
+        if shape[axis] % parts:
+            raise PlanningError(f"{name}={shape[axis]} not divisible by mesh {mesh_axis}={parts}")
     boxes: dict[int, Box] = {}
     for ix in range(mesh.x):
         for iy in range(mesh.y):
             box = [(0, extent) for extent in shape]
-            for axis, parts, index in ((col_axis, mesh.x, ix), (row_axis, mesh.y, iy)):
+            for (axis, parts, _, _), index in zip(splits, (ix, iy)):
                 step = shape[axis] // parts
                 box[axis] = (index * step, (index + 1) * step)
             boxes[mesh.device(ix, iy)] = tuple(box)
@@ -101,22 +108,12 @@ def plan(config: ModelConfig, mesh: Mesh) -> ShardPlan:
     """Deterministic contiguous assignment, lowest index to lowest coordinate."""
     E, M, H = config.n_experts, config.d_model, config.d_ff
     B, S = config.batch_size, config.seq_len
-    if E % mesh.x:
-        raise PlanningError(f"experts E={E} not divisible by mesh X={mesh.x}")
-    if H % mesh.y:
-        raise PlanningError(f"hidden H={H} not divisible by mesh Y={mesh.y}")
-    if M % mesh.y:
-        raise PlanningError(f"model dim M={M} not divisible by mesh Y={mesh.y}")
-    if B % mesh.x == 0:
-        activations = (B, S, M)
-    elif (B * S) % mesh.x == 0:
-        # batch alone does not divide; fall back to splitting the flat tokens
-        activations = (B * S, M)
-    else:
-        raise PlanningError(f"tokens B*S={B * S} not divisible by mesh X={mesh.x}")
+    # experts or tokens split over mesh columns, H or M (the last axis) over rows;
+    # when the batch alone does not divide, the flat tokens are split instead
+    activations, tokens = ((B, S, M), "batch B") if B % mesh.x == 0 else ((B * S, M), "tokens B*S")
     shapes = {"expert_weights": (E, M, H), "activations": activations}
-    # experts or tokens split over mesh columns, H or M (the last axis) over rows
-    boxes = {name: _partition(shape, 0, len(shape) - 1, mesh) for name, shape in shapes.items()}
+    names = {"expert_weights": ("experts E", "hidden H"), "activations": (tokens, "model dim M")}
+    boxes = {name: _partition(shape, mesh, *names[name]) for name, shape in shapes.items()}
     return ShardPlan(mesh=mesh, shapes=shapes, boxes=boxes)
 
 
@@ -188,12 +185,7 @@ def simulate_sharded(
     the mesh rows, one stacked ``ExpertFFN`` on each row's H slice.
     Output should match the unsharded layer to ~1e-10.
     """
-    E, _, H = w_in.shape
-    if E % mesh.x:
-        raise PlanningError(f"experts E={E} not divisible by mesh X={mesh.x}")
-    if H % mesh.y:
-        raise PlanningError(f"hidden H={H} not divisible by mesh Y={mesh.y}")
-    spans = sorted({h for _, _, h in _partition(w_in.shape, 0, 2, mesh).values()})
+    spans = sorted({h for _, _, h in _partition(w_in.shape, mesh, "experts E", "hidden H").values()})
     rows = [ExpertFFN(Tensor(w_in[..., lo:hi]), Tensor(w_out[:, lo:hi])) for lo, hi in spans]
 
     def summed(x: Tensor) -> Tensor:

@@ -45,29 +45,31 @@ def markov_transitions(rng, vocab, branching=4, concentrate=0.85):
     return trans / trans.sum(axis=1, keepdims=True)
 
 
-def sample_markov(rng, trans, length, start=None):
-    """One walk of ``length`` steps.  Each step inverts its row's cdf with one
-    uniform draw, as ``rng.choice(vocab, p=row)`` does, so walks and the
-    generator state afterwards match that call exactly, without its checks."""
+def markov_batch_source(trans, batch_size, seq_len):
+    """Infinite seeded [B, S] batches, each row one walk of the Markov chain.
+
+    Each row draws its start state, then ``seq_len`` uniforms.  A step inverts
+    its state's cdf row with one uniform, as ``rng.choice(vocab, p=row)``
+    does: the count of cdf entries <= u is ``searchsorted(u, side="right")``.
+    The B rows take each step together.
+    """
     vocab = trans.shape[0]
     cdf = trans.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    ids = np.empty(length, dtype=np.int64)
-    state = int(rng.integers(0, vocab)) if start is None else start
-    for i in range(length):
-        state = int(cdf[state].searchsorted(rng.random(), side="right"))
-        ids[i] = state
-    return ids
-
-
-def markov_batch_source(trans, batch_size, seq_len):
-    """Infinite seeded [B, S] batches drawn from the Markov chain."""
 
     def source(seed):
         rng = np.random.default_rng(seed)
         while True:
-            rows = [sample_markov(rng, trans, seq_len) for _ in range(batch_size)]
-            yield np.stack(rows)
+            state = np.empty(batch_size, dtype=np.int64)
+            uniforms = np.empty((batch_size, seq_len))
+            for row in range(batch_size):
+                state[row] = rng.integers(0, vocab)
+                uniforms[row] = rng.random(seq_len)
+            batch = np.empty((batch_size, seq_len), dtype=np.int64)
+            for i in range(seq_len):
+                state = (cdf[state] <= uniforms[:, i, None]).sum(axis=1)
+                batch[:, i] = state
+            yield batch
 
     return source
 

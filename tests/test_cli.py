@@ -638,6 +638,14 @@ def test_train_on_a_corpus_with_a_lone_surrogate_exits_5(tmp_path, workspace, ca
     assert not (tmp_path / "run" / "train_report.json").exists()
 
 
+def test_train_with_a_vocabulary_below_the_byte_ids_exits_3(tmp_path, workspace, capsys):
+    # the corpus is byte text, so ids 0..258 reach the embedding; refused before anything is written
+    assert main(_train_args(workspace, tmp_path, steps=2, vocab_size=100)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "vocab_size >= 259, got 100" in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_that_runs_out_of_tries_exits_3(tmp_path, workspace, capsys):
     args = _train_args(workspace, tmp_path, steps=20)
     args += ["--set", "trainer.checkpoint_interval=5", "--set", "trainer.peak_lr=100"]
@@ -802,6 +810,20 @@ def test_task_name_that_is_not_a_string_is_data_error(tmp_path, workspace, capsy
     args += ["--set", f"contamination.corpus={workspace}/corpus.jsonl"] + _model_args(seq_len=96)
     assert main(args) == 5
     assert "task name" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("command", ["eval", "contamination"])
+def test_task_file_without_eval_examples_is_data_error(tmp_path, workspace, capsys, command):
+    lines = (workspace / "tasks" / "copa.jsonl").read_text().splitlines()
+    task = tmp_path / "copa.jsonl"
+    task.write_text(lines[0] + "\n")  # the header alone
+    key = "tasks" if command == "eval" else "datasets"
+    args = [command, "--out", str(tmp_path), "--set", f"{command}.{key}={json.dumps([str(task)])}"]
+    args += ["--set", f"contamination.corpus={workspace}/corpus.jsonl"] + _model_args(seq_len=96)
+    assert main(args) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "task copa has no examples" in err, err
     assert not list(tmp_path.glob("*_report.json"))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from _synth import docs_from_bank, mixed_docs, word_bank
+from _synth import docs_from_bank, markov_batch_source, markov_transitions, mixed_docs, word_bank
 from moelab.data import (
     BOS,
     DEFAULT_MIXTURE,
@@ -36,6 +36,7 @@ from moelab.data import (
     train_quality_classifier,
 )
 from moelab.moe import ConfigError
+from moelab.util import substream
 
 HASH_DIM = 2**12  # small but valid; keeps toy training dense enough
 
@@ -423,3 +424,12 @@ def test_batch_source_matches_its_pinned_digest():
     assert all(b.dtype == np.int64 and b.shape == (4, 16) for b in batches)
     digest = hashlib.sha256(b"".join(b.tobytes() for b in batches)).hexdigest()
     assert digest == "7772e8e5b301c1be02f7cf5cd3902c0a715fef5dd006d339abc3937e2758d83b"
+
+
+def test_markov_batch_source_matches_its_pinned_digest():
+    # the first 2000 batches, byte for byte, as the former per-token sampler drew them
+    source = markov_batch_source(markov_transitions(substream(0, "chain"), 64), 16, 16)(7)
+    batches = list(itertools.islice(source, 2000))
+    assert all(b.dtype == np.int64 and b.shape == (16, 16) for b in batches)
+    digest = hashlib.sha256(b"".join(b.tobytes() for b in batches)).hexdigest()
+    assert digest == "fd42a93fb17fdfc7c4887c7574f7e04c6d2991401a48cf1fbad787826c87a3a5"

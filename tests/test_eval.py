@@ -167,8 +167,11 @@ def test_empty_option_is_rejected():
 
 def test_sequence_scorer_validates_length():
     scorer = SequenceScorer(scoring_model(seq_len=8))
-    with pytest.raises(ConfigError):
+    assert scorer.token_logprobs(list(range(8))).shape == (8,)
+    # the feed [BOS] + ids[:-1] is as long as ids, so the forward's own limit applies
+    with pytest.raises(ConfigError, match="sequence length 9 exceeds seq_len=8") as caught:
         scorer.token_logprobs(list(range(9)))
+    assert caught.traceback[-1].name == "forward"
     with pytest.raises(ConfigError):
         scorer.token_logprobs([])
     # generation path slides its window instead of failing
@@ -399,6 +402,8 @@ def test_task_validation():
         Task("t", "generative", [{"context": "c", "references": []}])
     with pytest.raises(ConfigError):
         stub_task("not_a_task")
+    with pytest.raises(ConfigError, match="task t has no examples"):  # a demonstration pool alone
+        Task("t", "generative", examples=[], train_examples=[{"context": "c", "references": ["r"]}])
 
 
 # ------------------------------------------------------------ end to end

@@ -16,7 +16,6 @@ from moelab.model import (
     geglu_ffn,
     reduce_to_single_expert,
     relative_buckets,
-    rmsnorm,
 )
 from moelab.moe import ConfigError, ExpertFFN, expert_capacity
 from moelab.tensor import Tensor, grad_check
@@ -236,10 +235,10 @@ def test_geglu_values_and_grad():
 def test_rmsnorm_scale_and_grad():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(3, 4)))
-    y = rmsnorm(x, Tensor(np.ones(4)))
+    y = T.rms_norm(x, Tensor(np.ones(4)))
     rms = np.sqrt((y.data**2).mean(axis=-1))
     assert np.max(np.abs(rms - 1.0)) < 1e-4  # eps shifts it slightly
-    assert grad_check(lambda t: _square_sum(rmsnorm(t, Tensor(np.ones(4)))), x) < 1e-4
+    assert grad_check(lambda t: _square_sum(T.rms_norm(t, Tensor(np.ones(4)))), x) < 1e-4
 
 
 @pytest.mark.parametrize(

@@ -484,7 +484,7 @@ def test_fused_model_matches_its_composite_layers(monkeypatch):
         return T.cross_entropy(logits, ids[:, 1:]) + 0.01 * aux
 
     fused = _run(loss, params)
-    monkeypatch.setattr(model, "rmsnorm", _rms_norm_composite)
+    monkeypatch.setattr(T, "rms_norm", _rms_norm_composite)
     monkeypatch.setattr(
         model,
         "attention_with_relative_bias",
