@@ -98,7 +98,7 @@ TASK_REGISTRY: dict[str, TaskSpec] = {
 
 @dataclass
 class Task:
-    """One evaluation task: at least one eval example, plus a demonstration pool."""
+    """One evaluation task: at least one eval example, plus a pool of at least ``shots`` demonstrations."""
 
     name: str
     kind: str
@@ -121,6 +121,10 @@ class Task:
             raise ConfigError(f"shots must be a non-negative integer, got {self.shots!r}")
         if not self.examples:
             raise ConfigError(f"task {self.name} has no examples")
+        if self.shots > len(self.train_examples):
+            raise ConfigError(
+                f"task {self.name} asks for {self.shots} shots but has {len(self.train_examples)} demonstrations"
+            )
         refuse_unencodable(f"task name {self.name!r}", self.name)
         for ex in list(self.examples) + list(self.train_examples):
             if not isinstance(ex.get("context"), str):

@@ -16,9 +16,16 @@ causal attention with the relative-position bias, the GELU feed-forward
 (stacked experts, one broadcast expert, or the gated GEGLU) and
 cross-entropy.  Each repeats, in the same order, the arithmetic of the
 composite of single ops it replaced, so its output is bit-identical to that
-composite's, and it keeps only the arrays its backward reads (the attention
-weights, not the score arrays they came from).  Their gradients agree with
-the composites' to rounding, not bit for bit.
+composite's, and it keeps only the arrays its backward reads: the attention
+weights, not the score arrays they came from; the GELU's pre-activations and
+CDF, not its activations; the loss's row maxima and sums, not its
+exponentials.  Their gradients agree with the composites' to rounding, not
+bit for bit.
+
+A backward writes only into buffers it allocates itself.  It never writes
+into its incoming gradient, which ``__add__`` hands to both operands as one
+array, nor into an array its node keeps, so a second pass over the same
+graph reads what the first read.
 
 All math is double precision.  Nothing here prevents NaN or Inf from flowing
 through; detecting them is the caller's job (the trainer does exactly that).
@@ -423,8 +430,11 @@ def gelu_ffn(x: Tensor, w_in: Tensor, w_out: Tensor, gate: Tensor | None = None)
     GELU is exact: h * Phi(h), with Phi the standard normal CDF.  Weights
     broadcast as in ``matmul``: stacked [k, M, H] / [k, H, M] weights run k
     experts on a [k, C, M] buffer, and [M, H] / [H, M] weights apply to every
-    leading index of ``x``.  The node keeps x @ w_in, its CDF and x @ gate;
-    the activations are recomputed in backward.
+    leading index of ``x``.  The node keeps x @ w_in, its CDF and x @ gate.
+    The backward recomputes the activations and allocates, besides the
+    gradients it returns, three arrays of the hidden shape at most: the
+    activations (reused for the gate's gradient), the hidden gradient and
+    the pre-GELU gradient, built in place in one buffer.
     """
     xd, win, wout = x.data, w_in.data, w_out.data
     wg = None if gate is None else gate.data
@@ -432,27 +442,32 @@ def gelu_ffn(x: Tensor, w_in: Tensor, w_out: Tensor, gate: Tensor | None = None)
     cdf = 0.5 * (1.0 + erf(h * _INV_SQRT2))
     hg = None if wg is None else np.matmul(xd, wg)
 
-    def hidden() -> tuple[np.ndarray, np.ndarray]:
-        act = h * cdf
-        return act, act if hg is None else act * hg
-
     def back(g: np.ndarray) -> list[np.ndarray]:
-        act, u = hidden()
-        grads = [None, None, _right_grad(u, g, wout.shape)]
-        du = _left_grad(g, wout, u.shape)
+        act = h * cdf
+        grads = [None, None, _right_grad(act if hg is None else act * hg, g, wout.shape)]
+        du = _left_grad(g, wout, h.shape)
         if hg is not None:
-            dhg = du * act
-            du = du * hg
+            dhg = np.multiply(du, act, out=act)
+            du *= hg
             grads.append(_right_grad(xd, dhg, wg.shape))
-        pdf = np.exp(-0.5 * h * h) * _INV_SQRT_2PI
-        dh = du * (cdf + h * pdf)
+        del act  # dhg keeps the gated case's buffer
+        # du * (cdf + h * pdf), pdf = exp(-0.5 * h * h) / sqrt(2 pi), in one buffer
+        dh = h * -0.5
+        dh *= h
+        np.exp(dh, out=dh)
+        dh *= _INV_SQRT_2PI
+        dh *= h
+        dh += cdf
+        dh *= du
+        del du
         grads[1] = _right_grad(xd, dh, win.shape)
         gx = _left_grad(dh, win, xd.shape)
         grads[0] = gx if hg is None else gx + _left_grad(dhg, wg, xd.shape)
         return grads
 
+    act = h * cdf
     parents = (x, w_in, w_out) if gate is None else (x, w_in, w_out, gate)
-    return _op(np.matmul(hidden()[1], wout), parents, back)
+    return _op(np.matmul(act if hg is None else act * hg, wout), parents, back)
 
 
 # ---- losses ----------------------------------------------------------------
@@ -462,8 +477,10 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of ``targets`` under ``logits``, as one node.
 
     ``logits`` has shape [..., vocab]; ``targets`` matches the leading shape.
-    The node keeps the forward's exp(logits - max) and its row sums; the
-    gradient is (softmax - onehot) * g / N.
+    The node keeps only the row maxima and the row sums of exp(logits - max);
+    its backward recomputes softmax = exp(logits - max) / sum from the logits
+    array, which the operand already holds, so the gradient
+    (softmax - onehot) * g / N is the one buffer it allocates.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets)
@@ -475,7 +492,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
             f"target ids out of range [0, {vocab}): min={targets.min()}, max={targets.max()}"
         )
     xd = logits.data
-    e = xd - xd.max(axis=-1, keepdims=True)
+    top = xd.max(axis=-1, keepdims=True)
+    e = xd - top
     picked = np.take_along_axis(e, targets[..., None].astype(np.intp), axis=-1)
     np.exp(e, out=e)
     total = e.sum(axis=-1, keepdims=True)
@@ -483,7 +501,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = picked.size
 
     def back(g: np.ndarray) -> tuple[np.ndarray]:
-        grad = e / total
+        grad = xd - top
+        np.exp(grad, out=grad)
+        grad /= total
         grad.reshape(-1, vocab)[np.arange(n), targets.reshape(-1)] -= 1.0
         grad *= g * (1.0 / n)
         return (grad,)

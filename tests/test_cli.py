@@ -15,7 +15,7 @@ from moelab.checkpoint import save_checkpoint
 from moelab.cli import main
 from moelab.configs import preset
 from moelab.data import Document, save_documents
-from moelab.evalharness import write_stub_tasks
+from moelab.evalharness import load_task, write_stub_tasks
 from moelab.model import ModelConfig, build, count_params, flops_per_token
 
 SOURCES6 = ["filtered_web", "wikipedia", "conversations", "forums", "books", "news"]
@@ -825,6 +825,33 @@ def test_task_file_without_eval_examples_is_data_error(tmp_path, workspace, caps
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "task copa has no examples" in err, err
     assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("command", ["eval", "contamination"])
+def test_task_file_with_too_few_demonstrations_is_data_error(tmp_path, workspace, capsys, command):
+    rows = [json.loads(line) for line in (workspace / "tasks" / "copa.jsonl").read_text().splitlines()]
+    rows[0]["shots"] = 1
+    rows = [row for row in rows if row.get("split") != "train"]  # no demonstrations left
+    task = tmp_path / "copa.jsonl"
+    task.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    key = "tasks" if command == "eval" else "datasets"
+    args = [command, "--out", str(tmp_path), "--set", f"{command}.{key}={json.dumps([str(task)])}"]
+    args += ["--set", f"contamination.corpus={workspace}/corpus.jsonl"] + _model_args(seq_len=96)
+    assert main(args) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "task copa asks for 1 shots but has 0 demonstrations" in err, err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_eval_shots_beyond_a_task_s_demonstrations_is_config_error(tmp_path, workspace, capsys):
+    path = workspace / "tasks" / "copa.jsonl"
+    n_demos = len(load_task(path).train_examples)
+    args = ["eval", "--out", str(tmp_path), "--set", f"eval.tasks={json.dumps([str(path)])}"]
+    args += ["--set", f"eval.shots={n_demos + 1}"] + _model_args(seq_len=96)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"asks for {n_demos + 1} shots" in err, err
+    assert not (tmp_path / "eval_report.json").exists()
 
 
 # --------------------------------------------------------------- shard-plan

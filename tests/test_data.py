@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from _memory import traced_peak
 from _synth import docs_from_bank, markov_batch_source, markov_transitions, mixed_docs, word_bank
 from moelab.data import (
     BOS,
@@ -387,12 +387,7 @@ def test_packing_peaks_below_twelve_bytes_per_token():
     streams = [rng.integers(0, 256, size=n, dtype=np.uint8) for n in rng.integers(50, 950, size=1000)]
     n_tokens = sum(len(s) for s in streams)
     assert 450_000 < n_tokens < 550_000
-    tracemalloc.start()
-    try:
-        batches = pack_examples(streams, 64, 8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    batches, peak = traced_peak(lambda _: pack_examples(streams, 64, 8))
     assert sum(b.size for b in batches) >= n_tokens + len(streams)
     assert peak / n_tokens < 12, peak / n_tokens
 

@@ -404,6 +404,8 @@ def test_task_validation():
         stub_task("not_a_task")
     with pytest.raises(ConfigError, match="task t has no examples"):  # a demonstration pool alone
         Task("t", "generative", examples=[], train_examples=[{"context": "c", "references": ["r"]}])
+    with pytest.raises(ConfigError, match="task t asks for 2 shots but has 1 demonstrations"):
+        Task("t", "generative", [{"context": "c", "references": ["r"]}], [{"context": "d", "references": ["s"]}], shots=2)
 
 
 # ------------------------------------------------------------ end to end

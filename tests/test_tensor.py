@@ -499,6 +499,114 @@ def test_fused_model_matches_its_composite_layers(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+FUSED_CASES = [
+    (T.rms_norm, [(2, 3, 4), (4,)]),
+    (lambda q, k, v, t: T.causal_attention(q, k, v, t, relative_buckets(5, 6)), [(2, 5, 6)] * 3 + [(2, 6)]),
+    (T.gelu_ffn, [(3, 4, 5), (3, 5, 6), (3, 6, 5)]),
+    (T.gelu_ffn, [(2, 4, 5), (5, 6), (6, 5)]),
+    (T.gelu_ffn, [(2, 3, 5), (5, 6), (6, 5), (5, 6)]),
+    (lambda t: T.cross_entropy(t, np.array([[0, 6, 6], [2, 1, 0]])), [(2, 3, 7)]),
+]
+FUSED_IDS = ["rms_norm", "attention", "gelu_ffn_stacked", "gelu_ffn_broadcast", "geglu", "cross_entropy"]
+
+
+@pytest.mark.parametrize("layer,shapes", FUSED_CASES, ids=FUSED_IDS)
+def test_a_repeated_backward_is_exact_through_every_fused_node(layer, shapes):
+    leaves = _leaves(shapes)
+    _, once = _run(layer, leaves)
+    for leaf in leaves:
+        leaf.zero_grad()
+    # two nodes that __add__ hands one gradient array, so a backward that wrote
+    # into its incoming gradient would change the other node's
+    out = layer(*leaves) + layer(*leaves)
+    loss = out if out.ndim == 0 else _weighted(out)
+    loss.backward()
+    assert all(leaf.grad.tobytes() == (2.0 * g).tobytes() for leaf, g in zip(leaves, once))
+    loss.backward()  # reads what each node keeps a second time
+    assert all(leaf.grad.tobytes() == (4.0 * g).tobytes() for leaf, g in zip(leaves, once))
+
+
+# The fused GELU feed-forward and loss as they were before their backwards
+# stopped keeping the activations' temporaries and the exponentials; the
+# gradients of today's nodes must be bit-equal to these.
+
+
+def _former_gelu_ffn(x, w_in, w_out, gate=None):
+    xd, win, wout = x.data, w_in.data, w_out.data
+    wg = None if gate is None else gate.data
+    h = np.matmul(xd, win)
+    cdf = 0.5 * (1.0 + erf(h * (1.0 / math.sqrt(2.0))))
+    hg = None if wg is None else np.matmul(xd, wg)
+
+    def hidden():
+        act = h * cdf
+        return act, act if hg is None else act * hg
+
+    def back(g):
+        act, u = hidden()
+        grads = [None, None, T._right_grad(u, g, wout.shape)]
+        du = T._left_grad(g, wout, u.shape)
+        if hg is not None:
+            dhg = du * act
+            du = du * hg
+            grads.append(T._right_grad(xd, dhg, wg.shape))
+        pdf = np.exp(-0.5 * h * h) * (1.0 / math.sqrt(2.0 * math.pi))
+        dh = du * (cdf + h * pdf)
+        grads[1] = T._right_grad(xd, dh, win.shape)
+        gx = T._left_grad(dh, win, xd.shape)
+        grads[0] = gx if hg is None else gx + T._left_grad(dhg, wg, xd.shape)
+        return grads
+
+    parents = (x, w_in, w_out) if gate is None else (x, w_in, w_out, gate)
+    return T._op(np.matmul(hidden()[1], wout), parents, back)
+
+
+def _former_cross_entropy(logits, targets):
+    xd, vocab = logits.data, logits.shape[-1]
+    e = xd - xd.max(axis=-1, keepdims=True)
+    picked = np.take_along_axis(e, targets[..., None].astype(np.intp), axis=-1)
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
+    picked -= np.log(total)
+    n = picked.size
+
+    def back(g):
+        grad = e / total
+        grad.reshape(-1, vocab)[np.arange(n), targets.reshape(-1)] -= 1.0
+        grad *= g * (1.0 / n)
+        return (grad,)
+
+    return T._op(-(picked.sum() * (1.0 / n)), (logits,), back)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(4, 40, 32), (4, 32, 64), (4, 64, 32)],  # stacked experts at train-moe32's C, M and H
+        [(2, 9, 32), (32, 64), (64, 32)],  # one pair broadcast over leading axes
+        [(2, 9, 32), (32, 64), (64, 32), (32, 64)],  # GEGLU
+        [(1, 1, 5), (5, 6), (6, 5), (5, 6)],  # GEGLU at S = 1
+    ],
+    ids=["stacked", "broadcast", "geglu", "geglu-s1"],
+)
+def test_gelu_ffn_gradients_are_bit_equal_to_the_former_backward(shapes):
+    leaves = _leaves(shapes, seed=len(shapes[0]))
+    out, grads = _run(T.gelu_ffn, leaves)
+    want_out, want_grads = _run(_former_gelu_ffn, leaves)
+    assert out == want_out
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(grads, want_grads))
+
+
+@pytest.mark.parametrize("shape", [(8, 63, 259), (4, 7), (1, 1, 7)])
+def test_cross_entropy_gradient_is_bit_equal_to_the_former_backward(shape):
+    targets = np.random.default_rng(2).integers(0, shape[-1], size=shape[:-1])
+    leaves = _leaves([shape], seed=3)
+    leaves[0].data *= 4.0  # confident rows, far from uniform
+    out, grads = _run(lambda t: T.cross_entropy(t, targets), leaves)
+    want_out, want_grads = _run(lambda t: _former_cross_entropy(t, targets), leaves)
+    assert out == want_out and grads[0].tobytes() == want_grads[0].tobytes()
+
+
 @pytest.mark.parametrize(
     "experts,seq_len,shape,most",
     [(32, 64, (8, 64), 41), (2, 128, (1, 60), 39)],  # 57 and 55 with the head split and merge as nodes

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _memory import traced_peak
 from moelab import trainer
 from moelab.checkpoint import (
     CheckpointFormatError,
@@ -293,6 +294,23 @@ def test_train_step_frees_the_graph_before_the_update(monkeypatch):
     gc.collect()
     train_step(model, tiny_batch(np.random.default_rng(5)), AdafactorState(), lr=0.01)
     assert alive == [0]
+
+
+def test_a_steady_train_moe32_step_peaks_at_eleven_megabytes_or_less():
+    # 13.7 MB while the GELU backward chained its temporaries and the loss kept its exponentials
+    config = ModelConfig(
+        n_layers=2, d_model=32, d_ff=64, n_heads=2, d_head=16, n_experts=32, seq_len=64, batch_size=8
+    )
+    batches = np.random.default_rng(0).integers(0, config.vocab_size, size=(4, 8, 65))
+
+    def three_steps():
+        model, state = build(config, seed=0), AdafactorState()
+        for batch in batches[:3]:
+            train_step(model, batch, state, lr=0.01)
+        return model, state
+
+    _, peak = traced_peak(lambda ready: train_step(ready[0], batches[3], ready[1], lr=0.01), three_steps)
+    assert peak <= 11e6, peak
 
 
 def test_train_step_rejects_short_batch():
